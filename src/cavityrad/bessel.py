@@ -4,12 +4,21 @@ The zero table drives the sphere eigenfrequency enumeration: the scalar
 Dirichlet eigenvalues of a ball of radius R are c*x/R over all zeros x of
 j_l, each with the (2l+1) spherical-harmonic degeneracy.
 
-Zeros are bracketed by the interlacing property against the l-1 level
-(x_{n,l} < x_{n,l+1} < x_{n+1,l}) and polished with a safeguarded Newton
-iteration. Level 0 is exact: j_0 = sin(x)/x vanishes at n*pi. One sentinel
-zero beyond x_max is kept per level so the next level's last bracket always
-exists; consecutive zeros are always more than pi apart, so a sign scan with
-step 3 < pi regrows a lost sentinel without ever skipping a pair.
+Every zero of every level is solved in one batch. Level 0 is exact: j_0 =
+sin(x)/x vanishes at n*pi. For l >= 1 each candidate zero starts from Olver's
+uniform asymptotic estimate of j_{l+1/2,n} (DLMF 10.21.43, with the Airy
+zeros of DLMF 9.9.6), and all candidates are polished together by a
+safeguarded Newton iteration whose every sweep is one upward recurrence over
+all points, sorted by l. A level's candidates are the n whose estimate lies
+below x_max (plus a small margin) and one sentinel beyond.
+
+Completeness is then checked, not assumed. Zeros of neighbouring levels
+interlace, x_{n,l-1} < x_{n,l} < x_{n+1,l-1}, and each interval holds exactly
+one zero of j_l, so a level-l root strictly inside its interval is the n-th
+zero and no zero was skipped. A sentinel whose interval would end beyond the
+solved zeros of level l-1 is placed in it by its distance from x_{n,l-1}
+and the sign of j_{l-1}. Every level must end in a sentinel above x_max. A
+failed check raises BesselZeroError.
 """
 
 from __future__ import annotations
@@ -19,10 +28,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import BesselZeroError
+
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
            "BesselZeroTable"]
 
 _RESCALE = 1e250
+
+#: candidates are the zeros whose estimate is below x_max + _GUESS_MARGIN;
+#: the estimates are good to ~1e-2, so the sentinel beyond lies above x_max
+_GUESS_MARGIN = 0.25
+
+#: longest Newton step, well under the zero spacing (always more than pi)
+_MAX_STEP = 0.5
+
+#: a point whose Newton step falls below this (relative) is converged: the
+#: error left is at most (l/x) * (1e-11 * x)^2, under one ulp for x < 1e5
+_STEP_TOL = 1e-11
+
+#: Newton sweeps before giving up; the guesses converge in three or four
+_MAX_SWEEPS = 20
 
 
 def _j0(x):
@@ -99,61 +124,86 @@ def _miller(l, x):
     return out
 
 
-def _jl_pair_upward(l, x):
-    """(j_{l-1}, j_l) by upward recurrence; requires x > l (oscillatory zone)."""
+def _jl_pair(l, x):
+    """(j_{l-1}, j_l) at every point by one upward recurrence over all of them.
+
+    l holds orders >= 1 in ascending order and x the arguments, x > l (the
+    oscillatory zone, where the upward direction is stable). Step k advances
+    only the suffix of points with l >= k + 1, so the cost is sum(l) and no
+    points-by-orders buffer is allocated.
+    """
     x = np.asarray(x, dtype=float)
-    jm = np.sin(x) / x
-    if l == 0:
-        return None, jm
-    jc = jm / x - np.cos(x) / x
-    if l == 1:
-        return jm, jc
-    for n in range(1, l):
-        jm, jc = jc, (2 * n + 1) / x * jc - jm
+    inv = 1.0 / x
+    jm = np.sin(x) * inv
+    jc = (jm - np.cos(x)) * inv
+    suffix = np.searchsorted(l, np.arange(2, int(l[-1]) + 1)) if l.size else ()
+    for k, s in enumerate(suffix, start=1):
+        nxt = (2 * k + 1) * inv[s:] * jc[s:] - jm[s:]
+        jm[s:] = jc[s:]
+        jc[s:] = nxt
     return jm, jc
 
 
-def _refine(l, lo, hi):
-    """One zero of j_l inside each (lo, hi); safeguarded vectorized Newton."""
-    lo = np.array(lo, dtype=float, copy=True)
-    hi = np.array(hi, dtype=float, copy=True)
-    if lo.size and lo[0] <= l and l >= 2:
-        raise RuntimeError("bracket entered the evanescent region x <= l")
-    x = 0.5 * (lo + hi)
-    _, f_left = _jl_pair_upward(l, lo + 1e-9 * (hi - lo))
-    sign_left = np.sign(f_left)
-    frozen = np.zeros(x.shape, dtype=bool)
-    for _ in range(120):
-        jm, f = _jl_pair_upward(l, x)
-        fp = jm - (l + 1) / x * f
-        with np.errstate(all="ignore"):
-            xn = x - f / fp
-        same = np.sign(f) == sign_left
-        lo = np.where(~frozen & same, x, lo)
-        hi = np.where(~frozen & ~same, x, hi)
-        bad = ~np.isfinite(xn) | (xn <= lo) | (xn >= hi)
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        newly = np.abs(xn - x) <= 1e-15 * x
-        xn = np.where(frozen, x, xn)
-        frozen |= newly
-        x = xn
-        if frozen.all():
+def _airy_zero(n):
+    """n-th negative zero a_n of Ai from its asymptotic expansion (DLMF 9.9.6)."""
+    t = 3.0 * math.pi / 8.0 * (4.0 * n - 1.0)
+    u = t ** -2.0
+    series = 1.0 + u * (5.0 / 48.0 + u * (-5.0 / 36.0 + u * (
+        77125.0 / 82944.0 - u * 108056875.0 / 6967296.0)))
+    return -t ** (2.0 / 3.0) * series
+
+
+def _olver_guess(l, n):
+    """Olver's uniform estimate of the n-th zero of j_l (DLMF 10.21.43).
+
+    With nu = l + 1/2 and zeta = nu^(-2/3) a_n, z solves
+    (2/3)(-zeta)^(3/2) = sqrt(z^2 - 1) - arcsec(z) and the zero is
+    nu*z + f_1(zeta)/nu, accurate to ~1e-2 at n = 1 and far better beyond.
+    """
+    nu = l + 0.5
+    zeta = nu ** (-2.0 / 3.0) * _airy_zero(n)
+    w = (2.0 / 3.0) * (-zeta) ** 1.5
+    # the left side is convex and increasing in z and exceeds w at w + pi/2,
+    # so Newton from there descends monotonically onto the root
+    z = w + 0.5 * math.pi
+    for _ in range(60):
+        s = np.sqrt(z * z - 1.0)
+        step = (s - np.arccos(1.0 / z) - w) * z / s
+        z = z - step
+        if np.all(step <= 1e-15 * z):
             break
-    return x
+    s = np.sqrt(z * z - 1.0)
+    h2 = np.sqrt(4.0 * zeta / (1.0 - z * z))
+    b0 = -5.0 / (48.0 * zeta**2) + (5.0 / (24.0 * s**3) + 1.0 / (8.0 * s)) / np.sqrt(-zeta)
+    return nu * z + 0.5 * z * h2 * b0 / nu
 
 
-def _first_zero_above(l, z):
-    """Leftmost zero of j_l above z; gaps exceed pi, so step 3 skips nothing."""
-    a = z + 1e-9 * max(z, 1.0)
-    _, fa = _jl_pair_upward(l, np.asarray([a]))
-    s0 = np.sign(fa[0])
-    for _ in range(200000):
-        b = a + 3.0
-        _, fb = _jl_pair_upward(l, np.asarray([b]))
-        if np.sign(fb[0]) != s0 and fb[0] != 0.0:
-            return float(_refine(l, [a], [b])[0])
-        a = b
-    raise RuntimeError("sign scan for the next zero of j_%d failed" % l)
+def _newton(l, x):
+    """Polish every guess x of a zero of j_l together; returns the sweep count.
+
+    Newton runs on r = j_l/j_{l-1}, which increases like tan between its poles
+    for x > l (r' = 1 + r^2 - 2lr/x > 0). Each sweep is one batched recurrence
+    over the points not yet converged; a step is clipped to _MAX_STEP, a
+    fraction of the zero spacing (> pi), so no single step can reach a
+    neighbouring zero. The iteration converges quadratically with constant
+    r''/2r' = l/x < 1, so once a step is below _STEP_TOL * x the point is
+    exact to rounding and freezes; the rounding floor of the recurrence
+    (about 1e-15 relative at l ~ 2000) never has to be beaten.
+    """
+    active = np.arange(x.size)
+    for sweep in range(1, _MAX_SWEEPS + 1):
+        la, xa = l[active], x[active]
+        jm, jc = _jl_pair(la, xa)
+        with np.errstate(all="ignore"):
+            step = jc * jm / (jm * jm + jc * jc - 2.0 * la / xa * jc * jm)
+        step = np.clip(step, -_MAX_STEP, _MAX_STEP)
+        x[active] = xa - step
+        active = active[~(np.abs(step) <= _STEP_TOL * xa)]
+        if active.size == 0:
+            return sweep
+    i = int(active[0])
+    raise BesselZeroError(int(l[i]), "Newton did not converge near x=%.17g "
+                          "within %d sweeps" % (x[i], _MAX_SWEEPS))
 
 
 @dataclass(frozen=True)
@@ -175,42 +225,100 @@ class BesselZeroTable:
         return self.zeros_by_l[l]
 
 
+def _expand(levels, counts):
+    """Flat (l, n) pairs, n = 1..counts[i] on level levels[i], sorted by l."""
+    l = np.repeat(levels, counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return l, np.arange(l.size) - first + 1
+
+
+def _candidate_counts(x_max, top):
+    """Zeros to solve on levels 0..top: each level's guesses up to the limit
+    plus one sentinel, never more than the level below (where the lower ends
+    of the interlacing intervals come from)."""
+    limit = x_max + _GUESS_MARGIN
+    levels = np.arange(1, top + 1)
+    nu = levels + 0.5
+    # how many zeros lie below the limit, from the leading term of the same
+    # expansion, plus headroom; a count that saturates fails the sentinel check
+    with np.errstate(invalid="ignore"):
+        phase = np.sqrt(limit**2 - nu**2) - nu * np.arccos(nu / limit)
+    est = np.where(nu < limit, phase / math.pi + 0.25, 0.0).astype(np.int64) + 2
+    l, n = _expand(levels, est)
+    below = np.bincount(l - 1, weights=_olver_guess(l, n) <= limit, minlength=top)
+    counts = np.concatenate(([int(limit / math.pi)], below.astype(np.int64))) + 1
+    empty = np.flatnonzero(counts == 1)
+    if empty.size:
+        counts = counts[: empty[0] + 1]          # the first level with no zero
+    return np.minimum.accumulate(counts)
+
+
+def _check_interlacing(l, n, x, roots, offsets, counts, x_max):
+    """Raise unless every root is the n-th zero of its j_l and every level
+    ends with a sentinel above x_max.
+
+    (x_{n,l-1}, x_{n+1,l-1}) holds exactly one zero of j_l, the n-th, so a
+    root strictly inside it is that zero. A sentinel whose n equals the
+    count of level l-1 has no solved upper end; x < x_{n,l-1} + 2*pi keeps it
+    below x_{n+2,l} (zeros of j_{l-1} are more than pi apart) and the sign
+    (-1)^n of j_{l-1}(x) rules out x_{n+1,l}.
+    """
+    below = offsets[l - 1] + n - 1              # index of x_{n,l-1} in roots
+    lower = roots[below]
+    open_end = n == counts[l - 1]
+    upper = np.where(open_end, lower + 2.0 * math.pi, roots[below + 1])
+    inside = (lower < x) & (x < upper)
+    if open_end.any():
+        jm, _ = _jl_pair(l[open_end], x[open_end])
+        inside[open_end] &= jm * (-1.0) ** n[open_end] > 0
+    if not inside.all():
+        i = int(np.flatnonzero(~inside)[0])
+        raise BesselZeroError(int(l[i]), "zero %d at x=%.17g is outside its interlacing "
+                              "interval (%.17g, %.17g)" % (n[i], x[i], lower[i], upper[i]))
+    short = np.flatnonzero(~(roots[offsets + counts - 1] > x_max))
+    if short.size:
+        raise BesselZeroError(int(short[0]), "no sentinel zero above x_max=%.17g" % x_max)
+
+
 def build_bessel_zero_table(x_max, max_order=None):
     """Tabulate the zeros of the spherical Bessel functions up to x_max.
 
     Levels stop at the first l with no zero below x_max, or at max_order.
+    Raises BesselZeroError if the solved zeros fail the interlacing check.
     """
     if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
         raise ValueError("x_max must be finite and > 0")
     x_max = float(x_max)
-    n0 = int(x_max / math.pi) + 1
-    work = np.arange(1, n0 + 1) * math.pi
-    if work[-1] <= x_max:
-        work = np.append(work, (n0 + 1) * math.pi)
-    levels = [work[work <= x_max]]
-    if levels[0].size == 0:
+    if x_max < math.pi:
         return BesselZeroTable(x_max, (np.empty(0),))
-    l = 0
-    while work.size >= 2 and (max_order is None or l < max_order):
-        l += 1
-        z = _refine(l, work[:-1], work[1:])
-        pub = z[z <= x_max]
+    top = int(x_max + _GUESS_MARGIN) + 1       # j_l has no zero below l + 1/2
+    if max_order is not None:
+        top = max(0, min(top, max_order))
+    counts = _candidate_counts(x_max, top)
+    c0 = int(counts[0])
+    l, n = _expand(np.arange(1, counts.size), counts[1:])
+    x = _olver_guess(l, n)
+    _newton(l, x)
+    roots = np.concatenate((np.arange(1, c0 + 1) * math.pi, x))
+    offsets = np.cumsum(counts) - counts
+    _check_interlacing(l, n, x, roots, offsets, counts, x_max)
+    levels = []
+    for off, c in zip(offsets, counts):
+        level = roots[off:off + c]
+        pub = level[level <= x_max]
         if pub.size == 0:
             break
-        if z[-1] <= x_max:
-            z = np.append(z, _first_zero_above(l, float(z[-1])))
-        work = z
+        pub.setflags(write=False)
         levels.append(pub)
-    for arr in levels:
-        arr.setflags(write=False)
     return BesselZeroTable(x_max, tuple(levels))
 
 
 def spherical_bessel_zeros(l, x_max):
     """All zeros of j_l in (0, x_max], each accurate to ~1e-12 relative.
 
-    Builds the interlacing chain up from level 0; the empty array is a valid
-    result when j_l has no zero below x_max.
+    Solves levels 0..l of the zero table, since level l is checked against
+    level l - 1; the empty array is a valid result when j_l has no zero
+    below x_max.
     """
     if not isinstance(l, (int, np.integer)) or l < 0:
         raise ValueError("l must be a nonnegative integer")

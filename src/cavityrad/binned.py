@@ -22,11 +22,16 @@ import numpy as np
 import scipy.fft as _fft
 
 from .constants import C_LIGHT
+from .errors import ResourceLimitError
 from .geometry import BoundaryCondition, GeometryDescriptors
 from .modes import ModeList, _merge_weighted
 from .planck import mean_oscillator_energy
 
-__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density"]
+__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density",
+           "MAX_BINS"]
+
+#: cap on the bins of one spectrum; more raises ResourceLimitError
+MAX_BINS = 10**7
 
 
 @dataclass(frozen=True)
@@ -54,6 +59,9 @@ class BinnedSpectrum:
 
 def _bin_count(omega_max, delta_omega):
     q = omega_max / delta_omega
+    if not q <= MAX_BINS:
+        raise ResourceLimitError(math.ceil(q) if math.isfinite(q) else q, MAX_BINS,
+                                 "frequency bins")
     q_round = round(q)
     if q_round >= 1 and abs(q - q_round) <= 1e-9 * q:
         return int(q_round), False

@@ -6,7 +6,8 @@
         --omega-max 1e15 --output modes.csv
     cavityrad figures 3 --output-dir out/
 
-Exit codes: 0 success, 2 usage error, 3 resource cap exceeded. Threshold-
+Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 a numerical
+self-check failed (a Bessel-zero table that does not interlace). Threshold-
 singular rod sample points are emitted with an empty value field plus a
 warning on stderr and do not change the exit status. The environment
 variable CAVITYRAD_THREADS (integer >= 1) caps internal parallelism; the
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binned import binned_density, weyl_density
-from .errors import ResourceLimitError, ThresholdSingularityError
+from .binned import _bin_count, binned_density, weyl_density
+from .errors import BesselZeroError, ResourceLimitError, ThresholdSingularityError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv, write_json
@@ -33,6 +34,10 @@ from .planck import planck_density
 from .slab_rod import film_density, rod_density
 
 __all__ = ["main", "run_spectrum", "run_modes", "run_figures"]
+
+
+#: cap on the film/rod grid size; more raises ResourceLimitError
+MAX_SAMPLES = 10**7
 
 
 class UsageError(Exception):
@@ -176,6 +181,8 @@ def _build_config(ns):
 
 
 def _pointwise_series(cfg):
+    if cfg.samples > MAX_SAMPLES:
+        raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
     grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
     geom = cfg.geom()
     if cfg.geometry == "film":
@@ -199,6 +206,7 @@ def _pointwise_series(cfg):
 
 
 def _binned_series(cfg):
+    _bin_count(cfg.omega_max, cfg.delta_omega)  # refuses too many bins before any work
     geom = cfg.geom()
     if cfg.geometry == "box":
         modes = enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
@@ -388,6 +396,9 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
+    except BesselZeroError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 4
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2

@@ -20,15 +20,28 @@ class ThresholdSingularityError(ValueError):
 
 
 class ResourceLimitError(RuntimeError):
-    """Mode enumeration would exceed the configured lattice-point cap."""
+    """A request would exceed a cap: lattice points, frequency bins or samples.
 
-    def __init__(self, required, cap):
-        self.required = int(required)
+    `required` is the size the request needs, counted in `what`; it may be a
+    float too large for an integer.
+    """
+
+    def __init__(self, required, cap, what="lattice points"):
+        self.required = required
         self.cap = int(cap)
         super().__init__(
-            "enumeration requires %d lattice points, exceeding the cap of %d"
-            % (self.required, self.cap)
+            "the request needs %.17g %s, exceeding the cap of %d"
+            % (required, what, self.cap)
         )
+
+
+class BesselZeroError(RuntimeError):
+    """A Bessel-zero table failed its interlacing or completeness check."""
+
+    def __init__(self, order, detail):
+        self.order = int(order)
+        super().__init__("zeros of j_%d failed the completeness check: %s"
+                         % (self.order, detail))
 
 
 class QuadratureError(RuntimeError):

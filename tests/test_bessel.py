@@ -1,5 +1,6 @@
 """Spherical Bessel evaluator and zero tables: exact l=0 seeds, the
-tan x = x root, interlacing, and residuals through the public evaluator."""
+tan x = x root, interlacing, residuals through the public evaluator, an
+mpmath oracle and the table shapes of the former level-by-level solver."""
 
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from cavityrad import (
+    BesselZeroError,
     BesselZeroTable,
     build_bessel_zero_table,
     spherical_bessel_zeros,
@@ -15,6 +17,9 @@ from cavityrad import (
 
 # frozen root of x*cos(x) = sin(x), cross-checked by the bisection oracle below
 FIRST_J1_ZERO = 4.493409457909064
+
+# x_max of the 0.2 mm sphere up to 1e15 rad/s (figure 4): 1e15 * 1e-4 / c
+X_SPHERE = 333.5640951981521
 
 
 def bisect_j1_zero(lo=4.0, hi=5.0):
@@ -105,14 +110,104 @@ def test_jl_small_argument_series():
 
 
 def test_jl_against_upward_recurrence_in_oscillatory_zone():
-    from cavityrad.bessel import _jl_pair_upward
+    from cavityrad.bessel import _jl_pair
 
     rng = np.random.default_rng(3)
-    for l in (2, 5, 17, 40):
-        x = rng.uniform(l + 2.0, l + 50.0, size=50)
-        _, up = _jl_pair_upward(l, x)
-        down = spherical_jl(l, x)
-        assert np.allclose(up, down, atol=2e-16 + 0 * up, rtol=5e-12)
+    orders = (2, 5, 17, 40)
+    xs = [rng.uniform(l + 2.0, l + 50.0, size=50) for l in orders]
+    # one batched call over every order, as the zero solver makes it
+    below, up = _jl_pair(np.repeat(orders, 50), np.concatenate(xs))
+    for i, (l, x) in enumerate(zip(orders, xs)):
+        part = slice(50 * i, 50 * (i + 1))
+        assert np.allclose(up[part], spherical_jl(l, x), atol=2e-16, rtol=5e-12)
+        assert np.allclose(below[part], spherical_jl(l - 1, x), atol=2e-16, rtol=5e-12)
+
+
+def test_zeros_against_mpmath_oracle():
+    mpmath = pytest.importorskip("mpmath")
+    table = build_bessel_zero_table(X_SPHERE)
+    # n = 1 sits just past the turning point x ~ l; large n lie deep in the
+    # oscillatory zone
+    for l, n in [(1, 1), (10, 1), (100, 1), (320, 1), (50, 7), (150, 20),
+                 (1, 105), (20, 90), (100, 40)]:
+        ref = float(mpmath.besseljzero(l + 0.5, n))
+        assert table.zeros(l)[n - 1] == pytest.approx(ref, rel=1e-13, abs=0), (l, n)
+
+
+@pytest.mark.parametrize("x_max, max_order, count", [
+    (83.39102379953802, 74, 849),
+    (X_SPHERE, 320, 13827),
+    (400.0, 385, 19899),
+])
+def test_table_shape_pinned(x_max, max_order, count):
+    # shapes measured on the former level-by-level interlacing chain
+    table = build_bessel_zero_table(x_max)
+    assert table.max_order == max_order
+    assert sum(z.size for z in table.zeros_by_l) == count
+    assert build_bessel_zero_table(x_max, max_order=max_order + 5).max_order == max_order
+
+
+@pytest.mark.parametrize("x_max", [83.39102379953802, X_SPHERE])
+def test_zero_counts_against_sign_changes(x_max):
+    # independent completeness: the sign changes of the downward-recurrence
+    # evaluator on a grid finer than the zero spacing (> pi), every level
+    table = build_bessel_zero_table(x_max)
+    for l in range(table.max_order + 2):
+        grid = np.append(np.arange(l + 0.5, x_max, 1.0), x_max)
+        f = spherical_jl(l, grid)
+        changes = int(np.count_nonzero(f[:-1] * f[1:] < 0))
+        assert changes == (table.zeros(l).size if l <= table.max_order else 0), l
+
+
+def test_newton_converges_in_few_sweeps():
+    from cavityrad.bessel import _newton, _olver_guess
+
+    # n = 1 just past the turning point is the hardest guess, and near
+    # l ~ 2000 the recurrence's rounding floor (~1e-15) must not stall Newton
+    l = np.array([1, 10, 320, 1944, 3000])
+    x = _olver_guess(l, np.ones_like(l))
+    assert _newton(l, x) <= 4
+    for order, root in zip(l, x):
+        order = int(order)
+        f = spherical_jl(order, root)
+        slope = spherical_jl(order - 1, root) - (order + 1) / root * f
+        assert abs(f / slope) < 1e-13 * root, order
+
+
+def test_open_ended_sentinel_identified_by_distance_and_sign():
+    from cavityrad.bessel import _check_interlacing
+
+    # levels 0 and 1 up to x_max = 5, two zeros each: the sentinel of level 1
+    # (n = 2) needs x_{3,0}, which is not solved, as its upper end
+    j1 = [4.493409457909064, 7.725251836937707, 10.904121659428899, 14.066193912831473]
+    counts, offsets = np.array([2, 2]), np.array([0, 2])
+    l, n = np.array([1, 1]), np.array([1, 2])
+
+    def check(sentinel):
+        x = np.array([j1[0], sentinel])
+        roots = np.concatenate(([math.pi, 2.0 * math.pi], x))
+        _check_interlacing(l, n, x, roots, offsets, counts, 5.0)
+
+    check(j1[1])
+    for wrong in j1[2:]:  # the next zero: wrong sign; the one after: too far
+        with pytest.raises(BesselZeroError, match="interlacing"):
+            check(wrong)
+
+
+def test_interlacing_failure_raises_and_exits_4(monkeypatch, capsys):
+    from cavityrad import bessel, cli
+
+    guess = bessel._olver_guess
+    # every estimate one zero spacing too high: each root lands on the next zero
+    monkeypatch.setattr(bessel, "_olver_guess", lambda l, n: guess(l, n + 1))
+    with pytest.raises(BesselZeroError, match="interlacing"):
+        build_bessel_zero_table(60.0)
+    code = cli.main(["modes", "--geometry", "sphere", "--diameter", "1e-5",
+                     "--temperature", "300", "--omega-max", "1e15"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
 
 def test_invalid_inputs():

@@ -13,6 +13,7 @@ from cavityrad import (
     BoxGeometry,
     GeometryDescriptors,
     ModeList,
+    ResourceLimitError,
     SphereGeometry,
     binned_density,
     cube_binned_density,
@@ -61,6 +62,16 @@ def test_partial_last_bin_flag():
     spec = binned_density(empty, 300.0, 1e13, 1e-12)
     assert spec.n_bins == 11
     assert spec.last_bin_partial
+
+
+def test_bin_count_over_cap_refused_before_allocation():
+    from cavityrad.binned import MAX_BINS
+
+    empty = ModeList(np.empty(0), np.empty(0, dtype=np.int64), 1e15)
+    assert binned_density(empty, 300.0, 1e15 / MAX_BINS, 1e-12).n_bins == MAX_BINS
+    for dw in (1e15 / (MAX_BINS + 1), 1e-3, 1e-320):
+        with pytest.raises(ResourceLimitError, match="frequency bins"):
+            binned_density(empty, 300.0, dw, 1e-12)
 
 
 def test_top_edge_mode_lands_in_last_bin_and_conserves():

@@ -172,6 +172,20 @@ def test_resource_cap_exit_3():
     assert "lattice points" in r.stderr
 
 
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-5,1e-5,1e-5",
+     "--delta-omega", "1e-3"),
+    ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5",
+     "--samples", "1000000000000000"),
+], ids=["bins", "samples"])
+def test_unbounded_bins_and_samples_exit_3(flags):
+    r = run_cli("spectrum", *flags, "--temperature", "300", "--omega-max", "1e15")
+    assert r.returncode == 3
+    assert "Traceback" not in r.stderr
+    assert r.stderr.startswith("error: ") and "exceeding the cap" in r.stderr
+    assert r.stdout == ""
+
+
 def test_config_file_flags_win(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(

@@ -9,8 +9,8 @@ from .bessel import (BesselZeroTable, build_bessel_zero_table,
                      spherical_bessel_zeros, spherical_jl)
 from .binned import BinnedSpectrum, binned_density, cube_binned_density, weyl_density
 from .constants import C_LIGHT, HBAR, K_B
-from .errors import (BesselZeroError, QuadratureError, ResourceLimitError,
-                     ThresholdSingularityError)
+from .errors import (BesselZeroError, ConvolutionExactnessError, NumericalCheckError,
+                     QuadratureError, ResourceLimitError, ThresholdSingularityError)
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        GeometryDescriptors, RodGeometry, SphereGeometry,
                        descriptors_for)
@@ -39,5 +39,5 @@ __all__ = [
     "BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density",
     "OracleReport", "naive_box_count", "quadrature_total_energy",
     "ThresholdSingularityError", "ResourceLimitError", "QuadratureError",
-    "BesselZeroError",
+    "BesselZeroError", "NumericalCheckError", "ConvolutionExactnessError",
 ]

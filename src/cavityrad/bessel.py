@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BesselZeroError
+from .validate import finite_real
 
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
            "BesselZeroTable"]
@@ -286,9 +287,7 @@ def build_bessel_zero_table(x_max, max_order=None):
     Levels stop at the first l with no zero below x_max, or at max_order.
     Raises BesselZeroError if the solved zeros fail the interlacing check.
     """
-    if not (isinstance(x_max, (int, float)) and math.isfinite(x_max) and x_max > 0):
-        raise ValueError("x_max must be finite and > 0")
-    x_max = float(x_max)
+    x_max = finite_real(x_max, "x_max must be finite and > 0")
     if x_max < math.pi:
         return BesselZeroTable(x_max, (np.empty(0),))
     top = int(x_max + _GUESS_MARGIN) + 1       # j_l has no zero below l + 1/2

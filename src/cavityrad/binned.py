@@ -19,13 +19,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
 from .constants import C_LIGHT
-from .errors import ResourceLimitError
+from .errors import ConvolutionExactnessError, ResourceLimitError
 from .geometry import BoundaryCondition, GeometryDescriptors
 from .modes import ModeList, _merge_weighted
 from .planck import mean_oscillator_energy
+from .validate import finite_real
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density",
            "MAX_BINS"]
@@ -93,6 +93,32 @@ def binned_density(modes: ModeList, T, delta_omega, volume):
                 modes.omega_max)
 
 
+def _fast_len(n):
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, a length the FFT is fast at."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _round_counts(raw):
+    # the counts are integers; a float result farther than 0.25 from one means
+    # the FFT rounding error is no longer small enough to trust the rounding
+    counts = np.rint(raw)
+    deviation = float(np.max(np.abs(raw - counts)))
+    if deviation > 0.25:
+        raise ConvolutionExactnessError(deviation)
+    return counts
+
+
 def _exact_counts_by_convolution(r1, m_max):
     """r3[m] = number of lattice triples with component-square sum m <= m_max.
 
@@ -101,16 +127,10 @@ def _exact_counts_by_convolution(r1, m_max):
     intermediates cannot feed back below m_max); results are integers and are
     checked to be safely round-trippable before rounding.
     """
-    n = _fft.next_fast_len(2 * m_max + 1, real=True)
-    f1 = _fft.rfft(r1, n)
-    r2_raw = _fft.irfft(f1 * f1, n)[: m_max + 1]
-    r2 = np.rint(r2_raw)
-    if np.max(np.abs(r2_raw - r2)) > 0.25:
-        raise RuntimeError("convolution counts lost integer exactness")
-    r3_raw = _fft.irfft(_fft.rfft(r2, n) * f1, n)[: m_max + 1]
-    r3 = np.rint(r3_raw)
-    if np.max(np.abs(r3_raw - r3)) > 0.25:
-        raise RuntimeError("convolution counts lost integer exactness")
+    n = _fast_len(2 * m_max + 1)
+    f1 = np.fft.rfft(r1, n)
+    r2 = _round_counts(np.fft.irfft(f1 * f1, n)[: m_max + 1])
+    r3 = _round_counts(np.fft.irfft(np.fft.rfft(r2, n) * f1, n)[: m_max + 1])
     return r3.astype(np.int64)
 
 
@@ -125,10 +145,8 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max,
     convention but stays cheap for desk-scale cavities as large as
     centimeters.
     """
-    if not (isinstance(side, (int, float)) and math.isfinite(side) and side > 0):
-        raise ValueError("side must be finite and > 0")
-    if not (isinstance(omega_max, (int, float)) and math.isfinite(omega_max) and omega_max > 0):
-        raise ValueError("omega_max must be finite and > 0")
+    side = finite_real(side, "side must be finite and > 0")
+    omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     if volume is None:
         volume = side**3
     if bc is BoundaryCondition.PERIODIC:

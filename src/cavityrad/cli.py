@@ -7,7 +7,8 @@
     cavityrad figures 3 --output-dir out/
 
 Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 a numerical
-self-check failed (a Bessel-zero table that does not interlace). Threshold-
+self-check failed (a Bessel-zero table that does not interlace, or FFT cube
+counts that are no longer exact integers). Threshold-
 singular rod sample points are emitted with an empty value field plus a
 warning on stderr and do not change the exit status. The environment
 variable CAVITYRAD_THREADS (integer >= 1) caps internal parallelism; the
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .binned import _bin_count, binned_density, weyl_density
-from .errors import BesselZeroError, ResourceLimitError, ThresholdSingularityError
+from .errors import NumericalCheckError, ResourceLimitError, ThresholdSingularityError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv, write_json
@@ -396,7 +397,7 @@ def main(argv=None):
     except ResourceLimitError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 3
-    except BesselZeroError as exc:
+    except NumericalCheckError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
     except (ValueError, OSError) as exc:

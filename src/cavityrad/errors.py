@@ -35,7 +35,14 @@ class ResourceLimitError(RuntimeError):
         )
 
 
-class BesselZeroError(RuntimeError):
+class NumericalCheckError(RuntimeError):
+    """A numerical self-check failed, so no result is returned.
+
+    The CLI maps every subclass to exit code 4.
+    """
+
+
+class BesselZeroError(NumericalCheckError):
     """A Bessel-zero table failed its interlacing or completeness check."""
 
     def __init__(self, order, detail):
@@ -44,7 +51,7 @@ class BesselZeroError(RuntimeError):
                          % (self.order, detail))
 
 
-class QuadratureError(RuntimeError):
+class QuadratureError(NumericalCheckError):
     """Composite quadrature failed to converge; carries the last two estimates."""
 
     def __init__(self, last, previous):
@@ -53,4 +60,15 @@ class QuadratureError(RuntimeError):
         super().__init__(
             "quadrature did not converge: last two estimates %.17g, %.17g"
             % (previous, last)
+        )
+
+
+class ConvolutionExactnessError(NumericalCheckError):
+    """FFT lattice counts strayed too far from integers to be rounded safely."""
+
+    def __init__(self, deviation):
+        self.deviation = deviation
+        super().__init__(
+            "convolution counts lost integer exactness: a count lies %.3g from "
+            "the nearest integer, above the guard of 0.25" % deviation
         )

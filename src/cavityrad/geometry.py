@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+from .validate import finite_real
+
 __all__ = [
     "BoundaryCondition",
     "FilmGeometry",
@@ -25,10 +27,11 @@ class BoundaryCondition(Enum):
     DIRICHLET = "dirichlet"
 
 
-def _require_positive(name, *values):
-    for v in values:
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
-            raise ValueError("%s must be a positive finite length" % name)
+def _require_positive(geom, *names):
+    # stores each length as a float, so numpy scalars cannot leak float32 math
+    message = "%s must be a positive finite length" % ", ".join(names)
+    for name in names:
+        object.__setattr__(geom, name, finite_real(getattr(geom, name), message))
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,7 @@ class FilmGeometry:
     L1: float
 
     def __post_init__(self):
-        _require_positive("L1", self.L1)
+        _require_positive(self, "L1")
 
 
 @dataclass(frozen=True)
@@ -49,7 +52,7 @@ class RodGeometry:
     L2: float
 
     def __post_init__(self):
-        _require_positive("L1, L2", self.L1, self.L2)
+        _require_positive(self, "L1", "L2")
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,7 @@ class BoxGeometry:
     L3: float
 
     def __post_init__(self):
-        _require_positive("L1, L2, L3", self.L1, self.L2, self.L3)
+        _require_positive(self, "L1", "L2", "L3")
 
     @property
     def volume(self):
@@ -75,7 +78,7 @@ class SphereGeometry:
     diameter: float
 
     def __post_init__(self):
-        _require_positive("diameter", self.diameter)
+        _require_positive(self, "diameter")
 
     @property
     def radius(self):

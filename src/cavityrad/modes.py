@@ -23,6 +23,7 @@ from .constants import C_LIGHT
 from .errors import ResourceLimitError
 from .geometry import BoundaryCondition, BoxGeometry, SphereGeometry
 from .planck import mean_oscillator_energy
+from .validate import finite_real
 
 __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes",
            "MERGE_RTOL", "DEFAULT_LATTICE_CAP"]
@@ -80,18 +81,32 @@ def _merge_weighted(omegas, weights):
     return om[starts], np.add.reduceat(wt, starts).astype(np.int64)
 
 
-def _box_axis(L, bc, k_max):
-    """All candidate wavenumbers on one box axis covering |k| <= k_max."""
+def _box_axis_bound(L, bc, k_max):
+    """Index bound m of one box axis covering |k| <= k_max, and the axis size.
+
+    Both are floats, so a cutoff too large for any array yields a huge or
+    infinite size to refuse instead of an overflow.
+    """
     if bc is BoundaryCondition.PERIODIC:
-        m = math.ceil(k_max * L / (2.0 * math.pi)) + 1
+        m = float(np.ceil(k_max * L / (2.0 * math.pi))) + 1.0
+        return m, 2.0 * m + 1.0
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        m = float(np.ceil(k_max * L / (2.0 * math.pi) + 0.5)) + 1.0
+        return m, 2.0 * m
+    if bc is BoundaryCondition.DIRICHLET:
+        m = float(np.ceil(k_max * L / math.pi)) + 1.0
+        return m, m
+    raise TypeError("bc must be a BoundaryCondition")
+
+
+def _box_axis(L, bc, m):
+    """All candidate wavenumbers on one box axis with index bound m."""
+    m = int(m)
+    if bc is BoundaryCondition.PERIODIC:
         return 2.0 * math.pi * np.arange(-m, m + 1) / L
     if bc is BoundaryCondition.ANTIPERIODIC:
-        m = math.ceil(k_max * L / (2.0 * math.pi) + 0.5) + 1
         return 2.0 * math.pi * (np.arange(-m, m) + 0.5) / L
-    if bc is BoundaryCondition.DIRICHLET:
-        m = math.ceil(k_max * L / math.pi) + 1
-        return math.pi * np.arange(1, m + 1) / L
-    raise TypeError("bc must be a BoundaryCondition")
+    return math.pi * np.arange(1, m + 1) / L
 
 
 def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
@@ -104,15 +119,14 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     bounding-lattice points than max_lattice_points raises
     ResourceLimitError naming the required count.
     """
-    if not (isinstance(omega_max, (int, float)) and math.isfinite(omega_max) and omega_max > 0):
-        raise ValueError("omega_max must be finite and > 0")
+    omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     k_max = omega_max / C_LIGHT
-    k1 = _box_axis(geom.L1, bc, k_max)
-    k2 = _box_axis(geom.L2, bc, k_max)
-    k3 = _box_axis(geom.L3, bc, k_max)
-    required = k1.size * k2.size * k3.size
-    if required > max_lattice_points:
+    lengths = (geom.L1, geom.L2, geom.L3)
+    bounds = [_box_axis_bound(L, bc, k_max) for L in lengths]
+    required = math.prod(size for _, size in bounds)
+    if required > max_lattice_points:  # checked before any axis is allocated
         raise ResourceLimitError(required, max_lattice_points)
+    k1, k2, k3 = (_box_axis(L, bc, m) for L, (m, _) in zip(lengths, bounds))
     s_cap = (k_max * k_max) * (1.0 + 4e-16)  # superset; exact filter in omega below
     collected = []
     if k2.size * k3.size <= 5 * 10**7:
@@ -131,7 +145,7 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     om = C_LIGHT * np.sqrt(s)
     om = om[om <= omega_max]
     om_u, counts = _merge_weighted(om, np.ones(om.size, dtype=np.int64))
-    return ModeList(om_u, 2 * counts, float(omega_max))
+    return ModeList(om_u, 2 * counts, omega_max)
 
 
 def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
@@ -141,15 +155,15 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
     Each Bessel zero contributes multiplicity 2*(2l+1): the spherical
     harmonic degeneracy times the global polarization factor.
     """
-    if not (isinstance(omega_max, (int, float)) and math.isfinite(omega_max) and omega_max > 0):
-        raise ValueError("omega_max must be finite and > 0")
+    omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     radius = geom.radius
     x_max = omega_max * radius / C_LIGHT
-    required = int(x_max * x_max / 8.0 + x_max) + 1  # zero-count estimate
-    if required > max_lattice_points:
-        raise ResourceLimitError(required, max_lattice_points)
+    estimate = x_max * x_max / 8.0 + x_max  # zero-count estimate; may be inf
+    if not estimate < max_lattice_points:
+        raise ResourceLimitError(int(estimate) + 1 if math.isfinite(estimate) else estimate,
+                                 max_lattice_points)
     if x_max < math.pi:
-        return ModeList(np.empty(0), np.empty(0, dtype=np.int64), float(omega_max))
+        return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     table = build_bessel_zero_table(x_max)
     omegas, weights = [], []
     for l, zeros in enumerate(table.zeros_by_l):
@@ -160,6 +174,6 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
         omegas.append(om)
         weights.append(np.full(om.size, 2 * (2 * l + 1), dtype=np.int64))
     if not omegas:
-        return ModeList(np.empty(0), np.empty(0, dtype=np.int64), float(omega_max))
+        return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     om_u, counts = _merge_weighted(np.concatenate(omegas), np.concatenate(weights))
-    return ModeList(om_u, counts, float(omega_max))
+    return ModeList(om_u, counts, omega_max)

@@ -11,9 +11,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import C_LIGHT, HBAR, K_B
+from .validate import finite_real
 
 __all__ = [
     "mean_oscillator_energy",
@@ -30,6 +30,24 @@ radiation_constant = math.pi**2 * K_B**4 / (15.0 * HBAR**3 * C_LIGHT**3)
 # Total of the dimensionless spectrum integral(x^3/(e^x - 1), 0, inf)
 _TOTAL_X3 = math.pi**4 / 15.0
 
+# Bernoulli numbers B_2, B_4, ..., B_32 as exact fractions (DLMF 24.2)
+_BERNOULLI_EVEN = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6), (-3617, 510),
+    (43867, 798), (-174611, 330), (854513, 138), (-236364091, 2730), (8553103, 6),
+    (-23749461029, 870), (8615841276005, 14322), (-7709321041217, 510),
+)
+
+# B_2j/((2j)! (2j+3)), highest j first for Horner; int/int division rounds once
+_DEBYE_COEFFS = tuple(
+    p / (q * math.factorial(2 * j) * (2 * j + 3))
+    for j, (p, q) in reversed(list(enumerate(_BERNOULLI_EVEN, 1)))
+)
+
+# below this x the Bernoulli series is used, above it the exponential tail;
+# there the series ratio is (x/2pi)^2 ~ 0.1, the 16 terms truncate below
+# 1e-17 relative and the tail needs ~35 terms
+_SERIES_X_MAX = 2.0
+
 
 def _validate(omega, T):
     omega = np.asarray(omega, dtype=float)
@@ -37,11 +55,10 @@ def _validate(omega, T):
         raise ValueError("omega must be finite")
     if np.any(omega < 0.0):
         raise ValueError("omega must be >= 0")
-    if not (isinstance(T, (int, float)) and math.isfinite(T)):
-        raise ValueError("temperature must be a finite number")
+    T = finite_real(T, "temperature must be a finite number", lower=-math.inf)
     if T <= 0.0:
         raise ValueError("temperature must be > 0")
-    return omega, float(T)
+    return omega, T
 
 
 def mean_oscillator_energy(omega, T):
@@ -82,12 +99,14 @@ def planck_total_energy_density(T):
     return radiation_constant * T**4
 
 
-def _dimensionless_spectrum(x):
-    # x^3/(e^x - 1), stable for all x >= 0
-    x = np.asarray(x, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        val = x**3 * np.exp(-x) / (-np.expm1(-x))
-    return np.where(x > 0.0, val, 0.0)
+def _series_integral(x):
+    # integral(t^3/(e^t - 1), 0, x)
+    #   = x^3/3 - x^4/8 + sum_j B_2j x^(2j+3)/((2j)! (2j+3)), for x < 2 pi
+    y = x * x
+    s = 0.0
+    for c in _DEBYE_COEFFS:
+        s = (s + c) * y
+    return x**3 * (1.0 / 3.0 - x / 8.0 + s)
 
 
 def _tail_integral(x0, terms=60):
@@ -105,20 +124,20 @@ def _tail_integral(x0, terms=60):
 def planck_energy_fraction_below(omega_max, T):
     """Fraction of the total Planck energy carried below omega_max.
 
-    Computed by adaptive quadrature in the dimensionless variable
-    x = hbar*omega/(k_B T); for large upper limits the remainder is summed
-    analytically as a series, keeping the absolute error below ~1e-12.
+    In the dimensionless variable x = hbar*omega/(k_B T) this is
+    integral(t^3/(e^t - 1), 0, x) / (pi^4/15), evaluated in closed form: up
+    to x = 2 by the Bernoulli (Debye) power series (Abramowitz & Stegun
+    27.1), above it as 1 minus the exponential series of the remainder
+    integral(t^3/(e^t - 1), x, inf). Either agrees with an independent
+    quadrature to about 1e-15 relative.
     """
     omega_max, T = _validate(omega_max, T)
     if omega_max.ndim != 0:
         raise ValueError("omega_max must be scalar")
     x_max = HBAR * float(omega_max) / (K_B * T)
-    if x_max == 0.0:
-        return 0.0
-    if x_max >= 40.0:
-        return 1.0 - _tail_integral(x_max) / _TOTAL_X3
-    num, _ = quad(_dimensionless_spectrum, 0.0, x_max, epsabs=1e-14, epsrel=1e-13, limit=200)
-    return num / _TOTAL_X3
+    if x_max <= _SERIES_X_MAX:
+        return _series_integral(x_max) / _TOTAL_X3
+    return 1.0 - _tail_integral(x_max) / _TOTAL_X3
 
 
 def planck_peak_frequency(T):

@@ -22,6 +22,7 @@ from .constants import C_LIGHT
 from .errors import ThresholdSingularityError
 from .geometry import BoundaryCondition, FilmGeometry, RodGeometry
 from .planck import mean_oscillator_energy
+from .validate import finite_real
 
 __all__ = [
     "film_mode_count",
@@ -116,8 +117,7 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     Returns an (N, 2) float array sorted by (k1^2 + k2^2, k1, k2); the empty
     set is a valid result. The inequality is strict, as in the rod sum.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega >= 0):
-        raise ValueError("omega must be finite and >= 0")
+    omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     k = omega / C_LIGHT
     k1, _ = _axis_wavenumbers(geom.L1, bc, _axis_extent(geom.L1, bc, k))
     k2, _ = _axis_wavenumbers(geom.L2, bc, _axis_extent(geom.L2, bc, k))
@@ -148,8 +148,7 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
         If omega/c lies within the guard window of an admitted or boundary
         mode, where the pointwise density is genuinely unbounded.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega >= 0):
-        raise ValueError("omega must be finite and >= 0")
+    omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     if omega == 0.0:
         return 0.0
     k = omega / C_LIGHT
@@ -187,8 +186,7 @@ def rod_threshold_frequencies(geom: RodGeometry, bc: BoundaryCondition, omega_ma
     The periodic (0, 0) mode is admitted from omega = 0+ and contributes no
     positive threshold.
     """
-    if not (isinstance(omega_max, (int, float)) and math.isfinite(omega_max) and omega_max > 0):
-        raise ValueError("omega_max must be finite and > 0")
+    omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     s = _transverse_k2(geom, bc, omega_max / C_LIGHT)
     w = C_LIGHT * np.sqrt(np.unique(s[s > 0.0]))
     return w[w <= omega_max]
@@ -204,8 +202,7 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     sub-interval midpoints. omega must lie strictly above the first distinct
     threshold.
     """
-    if not (isinstance(omega, (int, float)) and math.isfinite(omega) and omega > 0):
-        raise ValueError("omega must be finite and > 0")
+    omega = finite_real(omega, "omega must be finite and > 0")
     cap = 1.25
     while True:
         thresholds = rod_threshold_frequencies(geom, bc, omega * cap)

@@ -145,6 +145,75 @@ def test_cube_fast_path_matches_enumeration(bc):
     np.testing.assert_allclose(fast.u, via_enum.u, rtol=1e-12, atol=1e-30)
 
 
+def brute_force_triple_counts(values, m_max):
+    """r3[m]: ordered triples drawn from the 1-D component squares `values`
+    (with repetition, one entry per lattice index) summing to m <= m_max."""
+    counts = np.zeros(m_max + 1, dtype=np.int64)
+    for a in values:
+        for b in values:
+            for c in values:
+                if a + b + c <= m_max:
+                    counts[a + b + c] += 1
+    return counts
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_counts_match_brute_force_triples(bc, monkeypatch):
+    from cavityrad import binned
+
+    m_max = 300  # FFT length 625 = 5^4, not a power of two
+    assert binned._fast_len(2 * m_max + 1) == 625
+    side = 1.0
+    unit = (2.0 if bc is BoundaryCondition.PERIODIC else 1.0) * math.pi * C_LIGHT / side
+    seen = []
+    exact = binned._exact_counts_by_convolution
+
+    def spy(r1, m):
+        seen.append((m, exact(r1, m)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(binned, "_exact_counts_by_convolution", spy)
+    cube_binned_density(side, bc, 300.0, unit, unit * math.sqrt(m_max + 0.5))
+    (m_seen, r3), = seen
+    assert m_seen == m_max
+    n = np.arange(-20, 21)
+    values = {BoundaryCondition.PERIODIC: n**2,
+              BoundaryCondition.ANTIPERIODIC: (2 * n + 1) ** 2,
+              BoundaryCondition.DIRICHLET: n[n >= 1] ** 2}[bc]
+    np.testing.assert_array_equal(r3, brute_force_triple_counts(values.tolist(), m_max))
+
+
+def test_convolution_exactness_failure_raises_and_exits_4(monkeypatch, capsys):
+    from cavityrad import ConvolutionExactnessError, cli
+
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **kw: irfft(*a, **kw) + 0.5)
+    with pytest.raises(ConvolutionExactnessError, match="integer exactness"):
+        cube_binned_density(1e-5, BoundaryCondition.PERIODIC, 300.0, 1e13, 1e15)
+
+    # the CLI does not route cubes to the FFT path yet, so its box enumeration
+    # is swapped for the cube path to carry the error into main
+    def cube_modes(geom, bc, omega_max):
+        return cube_binned_density(geom.L1, bc, 300.0, 1e13, omega_max)
+
+    monkeypatch.setattr(cli, "enumerate_box_modes", cube_modes)
+    code = cli.main(["modes", "--geometry", "box", "--bc", "periodic",
+                     "--lengths", "1e-5,1e-5,1e-5", "--temperature", "300",
+                     "--omega-max", "1e15"])
+    out = capsys.readouterr()
+    assert code == 4
+    assert out.out == ""
+    assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
+def test_fast_len_matches_scipy():
+    next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
+    from cavityrad.binned import _fast_len
+
+    for n in [*range(1, 3000), 5_467_499, 10**7 + 1]:
+        assert _fast_len(n) == next_fast_len(n, real=True), n
+
+
 def test_weyl_equals_planck_for_degenerate_descriptors():
     desc = GeometryDescriptors(V=1.0, A=0.0, M=0.0)
     w = np.linspace(0.0, 1e15, 2001)

@@ -228,3 +228,41 @@ def test_thread_cap_env_validated(monkeypatch):
     assert unset.returncode == 0 and capped.returncode == 0, capped.stderr
     assert len(unset.stdout.splitlines()) > 1  # header plus modes
     assert capped.stdout == unset.stdout
+
+
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-3,1e-3,1e-3",
+     "--omega-max", "1e25"),
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-3,1e-3,1e-3",
+     "--omega-max", "1e300"),
+    ("--geometry", "sphere", "--diameter", "1e-3", "--omega-max", "1e300"),
+], ids=["box-axes-too-large", "box-axes-beyond-any-size", "sphere-estimate-overflows"])
+def test_unbounded_modes_exit_3(flags):
+    # the box axes and the sphere zero-count estimate are sized in floats and
+    # compared with the cap before anything is allocated or converted to int
+    r = run_cli("modes", *flags, "--temperature", "300")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert "exceeding the cap" in r.stderr
+    assert r.stdout == ""
+
+
+def test_runtime_imports_no_scipy():
+    script = (
+        "import sys, io, contextlib\n"
+        "import cavityrad\n"
+        "from cavityrad.cli import main\n"
+        "def loaded():\n"
+        "    return [m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')]\n"
+        "assert not loaded(), loaded()\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as out:\n"
+        "    assert main(['spectrum', '--geometry', 'box', '--bc', 'periodic',\n"
+        "                 '--lengths', '1e-5,1e-5,1e-5', '--temperature', '300',\n"
+        "                 '--omega-max', '1e15', '--delta-omega', '1e13']) == 0\n"
+        "    assert main(['modes', '--geometry', 'sphere', '--diameter', '1e-5',\n"
+        "                 '--temperature', '300', '--omega-max', '1e15']) == 0\n"
+        "assert len(out.getvalue().splitlines()) > 100\n"
+        "assert not loaded(), loaded()\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -159,3 +159,41 @@ def test_scaling_law(s):
 def test_domain_errors(call):
     with pytest.raises(ValueError):
         call()
+
+
+def test_bernoulli_table_matches_exact_recurrence():
+    # a_n = B_n/n! from sum_{k<=n} a_k/(n+1-k)! = 0, in exact rationals
+    from fractions import Fraction
+
+    from cavityrad.planck import _BERNOULLI_EVEN
+
+    a = [Fraction(1)]
+    for n in range(1, 2 * len(_BERNOULLI_EVEN) + 1):
+        a.append(-sum(a[k] / math.factorial(n + 1 - k) for k in range(n)))
+    for j, (p, q) in enumerate(_BERNOULLI_EVEN, 1):
+        assert Fraction(p, q) == a[2 * j] * math.factorial(2 * j), j
+
+
+def test_fraction_against_quad_oracle():
+    quad = pytest.importorskip("scipy.integrate").quad
+    from cavityrad.planck import _SERIES_X_MAX
+
+    def x3_over_expm1(t):
+        return t**3 * math.exp(-t) / -math.expm1(-t) if t > 0.0 else 0.0
+
+    T = 300.0
+    near_switch = [_SERIES_X_MAX * (1.0 + d) for d in (-1e-9, -1e-15, 0.0, 1e-15, 1e-9)]
+    for x in [*np.geomspace(1e-6, 45.0, 60), *near_switch]:
+        omega_max = float(x) * K_B * T / HBAR
+        x = HBAR * omega_max / (K_B * T)  # the x the function itself sees
+        oracle, _ = quad(x3_over_expm1, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+        frac = planck_energy_fraction_below(omega_max, T)
+        assert frac == pytest.approx(oracle / (math.pi**4 / 15.0), rel=1e-13), x
+
+
+def test_fraction_branches_agree_at_switch():
+    from cavityrad.planck import _SERIES_X_MAX, _TOTAL_X3, _series_integral, _tail_integral
+
+    series = _series_integral(_SERIES_X_MAX)
+    tail = _TOTAL_X3 - _tail_integral(_SERIES_X_MAX)
+    assert series == pytest.approx(tail, rel=1e-14)

@@ -72,7 +72,7 @@ def spherical_jl(l, x):
     point. Downward recurrence is stable on both sides of the turning point,
     unlike the upward direction which fails for x < l.
     """
-    if not isinstance(l, (int, np.integer)) or l < 0:
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError("l must be a nonnegative integer")
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
@@ -319,7 +319,7 @@ def spherical_bessel_zeros(l, x_max):
     level l - 1; the empty array is a valid result when j_l has no zero
     below x_max.
     """
-    if not isinstance(l, (int, np.integer)) or l < 0:
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError("l must be a nonnegative integer")
     table = build_bessel_zero_table(float(x_max), max_order=l)
     if l > table.max_order:

@@ -25,14 +25,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .binned import _bin_count, binned_density, weyl_density
-from .errors import NumericalCheckError, ResourceLimitError, ThresholdSingularityError
+from .binned import _bin_count, binned_density, cube_binned_density, weyl_density
+from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv, write_json
 from .modes import enumerate_box_modes, enumerate_sphere_modes
 from .planck import planck_density
-from .slab_rod import film_density, rod_density
+from .slab_rod import _rod_density_grid, film_density
 
 __all__ = ["main", "run_spectrum", "run_modes", "run_figures"]
 
@@ -189,16 +189,13 @@ def _pointwise_series(cfg):
     if cfg.geometry == "film":
         values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
     else:
-        values = []
-        for w in grid:
-            try:
-                values.append(rod_density(float(w), cfg.temperature, geom, cfg.bc))
-            except ThresholdSingularityError as exc:
-                cfg.warnings.append(
-                    "singular sample skipped at omega=%r: transverse mode "
-                    "(n1=%d, n2=%d)" % (float(w), exc.mode[0], exc.mode[1])
-                )
-                values.append(None)
+        densities, singular = _rod_density_grid(grid, cfg.temperature, geom, cfg.bc)
+        values = [None if i in singular else float(v) for i, v in enumerate(densities)]
+        for i, exc in singular.items():
+            cfg.warnings.append(
+                "singular sample skipped at omega=%r: transverse mode "
+                "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
+            )
     series = [("spectrum", grid, values)]
     if "planck" in cfg.compare:
         series.append(("planck", grid,
@@ -209,13 +206,16 @@ def _pointwise_series(cfg):
 def _binned_series(cfg):
     _bin_count(cfg.omega_max, cfg.delta_omega)  # refuses too many bins before any work
     geom = cfg.geom()
-    if cfg.geometry == "box":
-        modes = enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
-        volume = geom.volume
-    else:
+    if cfg.geometry == "sphere":
         modes = enumerate_sphere_modes(geom, cfg.omega_max)
-        volume = geom.volume
-    spec = binned_density(modes, cfg.temperature, cfg.delta_omega, volume)
+        spec = binned_density(modes, cfg.temperature, cfg.delta_omega, geom.volume)
+    elif geom.L1 == geom.L2 == geom.L3:
+        # a cube's frequencies are sqrt(integer norms): no lattice scan needed
+        spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
+                                   cfg.omega_max, volume=geom.volume)
+    else:
+        modes = enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
+        spec = binned_density(modes, cfg.temperature, cfg.delta_omega, geom.volume)
     series = [("spectrum", spec.omega_left, [float(v) for v in spec.u])]
     centers = spec.omega_centers
     if "planck" in cfg.compare:
@@ -225,7 +225,7 @@ def _binned_series(cfg):
         desc = descriptors_for(geom)
         series.append(("weyl", centers,
                        [float(v) for v in weyl_density(centers, cfg.temperature, desc)]))
-    return series, modes
+    return series
 
 
 def _emit(cfg, command, series):
@@ -269,7 +269,7 @@ def run_spectrum(ns):
     if cfg.geometry in ("film", "rod"):
         series = _pointwise_series(cfg)
     else:
-        series, _modes = _binned_series(cfg)
+        series = _binned_series(cfg)
     _emit(cfg, "spectrum", series)
     return 0
 

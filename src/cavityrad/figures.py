@@ -16,24 +16,11 @@ from importlib import resources
 
 import numpy as np
 
+from .cli import _KEYSPEC, _binned_series, _build_config, _pointwise_series
 from .io import spectrum_csv_lines, write_csv
 from .planck import planck_density
 
 __all__ = ["generate_figure"]
-
-_NS_KEYS = {
-    "geometry": str,
-    "bc": str,
-    "length": float,
-    "lengths": str,
-    "diameter": float,
-    "temperature": float,
-    "omega-min": float,
-    "omega-max": float,
-    "samples": int,
-    "delta-omega": float,
-    "compare": str,
-}
 
 
 def _load_preset(fig_id):
@@ -49,7 +36,7 @@ def _section_namespace(section):
         temperature=None, omega_min=0.0, omega_max=None, samples=1000,
         delta_omega=1e13, compare=None, format="csv", output="-",
     )
-    for key, conv in _NS_KEYS.items():
+    for key, conv in _KEYSPEC.items():
         if key in section:
             setattr(ns, key.replace("-", "_"), conv(section[key]))
     return ns
@@ -57,8 +44,6 @@ def _section_namespace(section):
 
 def generate_figure(fig_id, output_dir):
     """Run every preset curve of the figure; returns the paths written."""
-    from .cli import _binned_series, _build_config, _pointwise_series
-
     cp = _load_preset(fig_id)
     os.makedirs(output_dir, exist_ok=True)
     written = []
@@ -73,7 +58,7 @@ def generate_figure(fig_id, output_dir):
             omega_header = "omega_rad_s"
             ref_grid = np.asarray(series[0][1])
         else:
-            series, _modes = _binned_series(cfg)
+            series = _binned_series(cfg)
             omega_header = "omega_left_rad_s"
             ref_grid = np.asarray(series[0][1]) + 0.5 * cfg.delta_omega
         header = [omega_header, "u_J_s_m3"]

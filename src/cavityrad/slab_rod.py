@@ -151,33 +151,56 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     if omega == 0.0:
         return 0.0
+    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc, threshold_guard)
+    if singular:
+        raise singular[0]
+    return float(values[0])
+
+
+def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
+    """Rod density at every omega of a 1-D array of finite omegas >= 0.
+
+    All samples share one sorted transverse table, built for the largest
+    omega. Returns the densities and a dict from the index of each sample
+    inside a guard window to its ThresholdSingularityError; those samples
+    hold nan. Each value is the one rod_density gives, bit for bit: the
+    entries below (omega/c)^2 are the same sorted prefix for any table that
+    covers omega, and each sample sums its own prefix.
+    """
     k = omega / C_LIGHT
-    s = _transverse_k2(geom, bc, k * (1.0 + 4.0 * max(threshold_guard, 1e-9)))
+    s = _transverse_k2(geom, bc, float(k.max()) * (1.0 + 4.0 * max(threshold_guard, 1e-9)))
+    k2 = k * k
+    n = np.searchsorted(s, k2, side="left")  # admitted modes: s < k^2
+    values = np.zeros(omega.size)
+    singular = {}
     if threshold_guard > 0.0:
-        lo = (k * (1.0 - threshold_guard)) ** 2
-        hi = (k * (1.0 + threshold_guard)) ** 2
-        i0, i1 = np.searchsorted(s, [lo, hi], side="left")
-        if i1 > i0:
-            _raise_naming_mode(omega, geom, bc, math.sqrt(s[i0]))
-    n = np.searchsorted(s, k * k, side="left")
-    if n == 0:
-        return 0.0
-    # ascending s = ascending term magnitude keeps the sum well conditioned
-    terms = 1.0 / np.sqrt(k * k - s[:n])
-    total = float(np.sum(terms))
-    pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
-        math.pi * C_LIGHT**2 * geom.L1 * geom.L2
-    )
-    return pref * total
+        i0 = np.searchsorted(s, (k * (1.0 - threshold_guard)) ** 2, side="left")
+        i1 = np.searchsorted(s, (k * (1.0 + threshold_guard)) ** 2, side="left")
+        for i in (i1 > i0).nonzero()[0].tolist():
+            k_perp = math.sqrt(s[i0[i]])
+            singular[i] = ThresholdSingularityError(
+                float(omega[i]), *_mode_indices(geom, bc, k_perp), k_perp)
+            values[i] = np.nan
+            n[i] = 0
+    live = n.nonzero()[0]
+    if live.size:
+        pref = 2.0 * omega[live] * mean_oscillator_energy(omega[live], T) / (
+            math.pi * C_LIGHT**2 * geom.L1 * geom.L2
+        )
+        for i, p, kk, m in zip(live.tolist(), pref.tolist(), k2[live].tolist(),
+                               n[live].tolist()):
+            # ascending s = ascending term magnitude keeps the sum well conditioned
+            values[i] = p * float(np.sum(1.0 / np.sqrt(kk - s[:m])))
+    return values, singular
 
 
-def _raise_naming_mode(omega, geom, bc, k_perp):
-    # error path only: recover the lattice indices of the offending mode
+def _mode_indices(geom, bc, k_perp):
+    """Lattice indices (n1, n2) of the transverse mode at k_perp (error path only)."""
     k1, n1 = _axis_wavenumbers(geom.L1, bc, _axis_extent(geom.L1, bc, k_perp * 1.001))
     k2, n2 = _axis_wavenumbers(geom.L2, bc, _axis_extent(geom.L2, bc, k_perp * 1.001))
     s = (k1**2)[:, None] + (k2**2)[None, :]
     i, j = np.unravel_index(np.argmin(np.abs(s - k_perp**2)), s.shape)
-    raise ThresholdSingularityError(omega, int(n1[i]), int(n2[j]), k_perp)
+    return int(n1[i]), int(n2[j])
 
 
 def rod_threshold_frequencies(geom: RodGeometry, bc: BoundaryCondition, omega_max):

@@ -191,19 +191,57 @@ def test_convolution_exactness_failure_raises_and_exits_4(monkeypatch, capsys):
     with pytest.raises(ConvolutionExactnessError, match="integer exactness"):
         cube_binned_density(1e-5, BoundaryCondition.PERIODIC, 300.0, 1e13, 1e15)
 
-    # the CLI does not route cubes to the FFT path yet, so its box enumeration
-    # is swapped for the cube path to carry the error into main
-    def cube_modes(geom, bc, omega_max):
-        return cube_binned_density(geom.L1, bc, 300.0, 1e13, omega_max)
-
-    monkeypatch.setattr(cli, "enumerate_box_modes", cube_modes)
-    code = cli.main(["modes", "--geometry", "box", "--bc", "periodic",
+    code = cli.main(["spectrum", "--geometry", "box", "--bc", "periodic",
                      "--lengths", "1e-5,1e-5,1e-5", "--temperature", "300",
                      "--omega-max", "1e15"])
     out = capsys.readouterr()
     assert code == 4
     assert out.out == ""
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_over_norm_cap_refused_before_allocation(bc):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="integer norms"):
+            cube_binned_density(1.0, bc, 300.0, 1e12, 1e16)
+        with pytest.raises(ResourceLimitError, match="integer norms"):
+            cube_binned_density(1.0, bc, 300.0, 1e297, 1e300)  # m_max beyond any float
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
+    from cavityrad import binned
+
+    # a 1 cm cube to 3.1e14 (periodic) or 1.55e14 rad/s needs ~2.7e6 norms on
+    # its own unit; the Dirichlet unit would need 1.1e7 for the periodic one
+    omega_max = 3.1e14 if bc is BoundaryCondition.PERIODIC else 1.55e14
+    seen = []
+    monkeypatch.setattr(binned, "_exact_counts_by_convolution",
+                        lambda r1, m: seen.append(m) or np.zeros(m + 1, dtype=np.int64))
+    cube_binned_density(1e-2, bc, 300.0, 1e13, omega_max)
+    assert 2.6e6 < seen[0] < 2.8e6 < binned.MAX_CUBE_NORMS
+    cap = binned.MAX_CUBE_NORMS
+    assert binned._norm_bound(1.0, (cap - 0.5) ** -0.5) == cap - 1
+    with pytest.raises(ResourceLimitError, match="integer norms"):
+        binned._norm_bound(1.0, (cap + 0.5) ** -0.5)
+
+
+def test_cube_bin_cap_checked_before_counts(monkeypatch):
+    from cavityrad import binned
+
+    monkeypatch.setattr(binned, "_exact_counts_by_convolution", None)
+    with pytest.raises(ResourceLimitError, match="frequency bins"):
+        cube_binned_density(1e-5, BoundaryCondition.PERIODIC, 300.0, 1e-3, 1e15)
+    with pytest.raises(ValueError, match="delta_omega and volume"):
+        cube_binned_density(1e-5, BoundaryCondition.PERIODIC, 300.0, 0.0, 1e15)
 
 
 def test_fast_len_matches_scipy():

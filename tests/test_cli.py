@@ -6,12 +6,19 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from cavityrad import (
     C_LIGHT,
     BoundaryCondition,
+    BoxGeometry,
     RodGeometry,
+    ThresholdSingularityError,
+    binned_density,
+    cli,
+    enumerate_box_modes,
+    rod_density,
     rod_threshold_frequencies,
 )
 
@@ -103,6 +110,84 @@ def test_determinism_byte_identical():
     r1, r2 = run_cli(*args), run_cli(*args)
     assert r1.returncode == r2.returncode == 0
     assert r1.stdout == r2.stdout
+
+
+def main_csv(capsys, *args):
+    """Run main in process; returns the parsed stdout CSV and the stderr text."""
+    assert cli.main(list(args)) == 0
+    out = capsys.readouterr()
+    return read_csv(out.out), out.err
+
+
+@pytest.mark.parametrize("side", ["5e-5", "2e-4"])
+@pytest.mark.parametrize("bc", [b.value for b in BoundaryCondition])
+def test_cube_spectrum_matches_lattice_scan(bc, side, monkeypatch, capsys):
+    # a cube takes the integer-norm path, never the scan, and agrees with it
+    def no_scan(*args):
+        raise AssertionError("a cube must not be scanned")
+
+    monkeypatch.setattr(cli, "enumerate_box_modes", no_scan)
+    (header, cols), _ = main_csv(
+        capsys, "spectrum", "--geometry", "box", "--bc", bc, "--temperature", "300",
+        "--lengths", ",".join([side] * 3), "--omega-max", "1e15", "--delta-omega", "1e13")
+    L = float(side)
+    geom = BoxGeometry(L, L, L)
+    spec = binned_density(enumerate_box_modes(geom, BoundaryCondition(bc), 1e15),
+                          300.0, 1e13, geom.volume)
+    assert header == ["omega_left_rad_s", "u_J_s_m3"]
+    assert cols["omega_left_rad_s"] == spec.omega_left.tolist()
+    u, ref = np.array(cols["u_J_s_m3"]), spec.u
+    np.testing.assert_array_equal(u == 0.0, ref == 0.0)
+    assert np.count_nonzero(ref) > 10
+    nz = ref != 0.0
+    assert np.max(np.abs(u[nz] / ref[nz] - 1.0)) <= 1e-13
+
+
+def test_box_with_one_unequal_side_is_scanned(monkeypatch, capsys):
+    def no_cube(*args, **kw):
+        raise AssertionError("only a cube takes the integer-norm path")
+
+    monkeypatch.setattr(cli, "cube_binned_density", no_cube)
+    (_, cols), _ = main_csv(
+        capsys, "spectrum", "--geometry", "box", "--bc", "periodic", "--temperature", "300",
+        "--lengths", "2e-5,2e-5,3e-5", "--omega-max", "1e15", "--delta-omega", "1e13")
+    geom = BoxGeometry(2e-5, 2e-5, 3e-5)
+    spec = binned_density(enumerate_box_modes(geom, BoundaryCondition.PERIODIC, 1e15),
+                          300.0, 1e13, geom.volume)
+    assert cols["u_J_s_m3"] == spec.u.tolist()
+
+
+@pytest.mark.parametrize("bc", [b.value for b in BoundaryCondition])
+def test_cube_over_norm_cap_exit_3(bc):
+    r = run_cli("spectrum", "--geometry", "box", "--bc", bc, "--lengths", "1e-3,1e-3,1e-3",
+                "--temperature", "300", "--omega-max", "1e17")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert "integer norms" in r.stderr
+    assert r.stdout == ""
+
+
+def test_rod_grid_refusals_match_per_sample_loop(capsys):
+    # samples every tenth of the first periodic threshold land on thresholds
+    L = 2e-5
+    rod = RodGeometry(L, L)
+    omega_max = 10.0 * 2.0 * math.pi * C_LIGHT / L
+    (_, cols), err = main_csv(
+        capsys, "spectrum", "--geometry", "rod", "--bc", "periodic", "--temperature", "300",
+        "--lengths", "%r,%r" % (L, L), "--omega-max", repr(omega_max), "--samples", "101")
+    expected_none, expected_warnings = [], []
+    for w in np.linspace(0.0, omega_max, 101).tolist():
+        try:
+            rod_density(w, 300.0, rod, BoundaryCondition.PERIODIC)
+            expected_none.append(False)
+        except ThresholdSingularityError as exc:
+            expected_none.append(True)
+            expected_warnings.append(
+                "warning: singular sample skipped at omega=%r: transverse mode "
+                "(n1=%d, n2=%d)" % (w, exc.mode[0], exc.mode[1]))
+    assert sum(expected_none) >= 5
+    assert [u is None for u in cols["u_J_s_m3"]] == expected_none
+    assert err.splitlines() == expected_warnings
 
 
 def test_modes_dirichlet_cube_first_row():

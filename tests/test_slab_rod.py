@@ -202,6 +202,64 @@ def test_rod_threshold_guard_raises_and_names_mode():
                        BoundaryCondition.PERIODIC) > 0.0
 
 
+def per_sample_rod_density(omega, T, rod, bc, guard=1e-9):
+    """Reference: the rod density with a transverse table sized to this omega
+    alone, in Python floats; None inside a guard window."""
+    from cavityrad.slab_rod import _transverse_k2
+
+    k = omega / C_LIGHT
+    s = _transverse_k2(rod, bc, k * (1.0 + 4.0 * guard))
+    i0, i1 = np.searchsorted(s, [(k * (1.0 - guard)) ** 2, (k * (1.0 + guard)) ** 2])
+    if i1 > i0:
+        return None
+    n = np.searchsorted(s, k * k)
+    if n == 0:
+        return 0.0
+    pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
+        math.pi * C_LIGHT**2 * rod.L1 * rod.L2)
+    return pref * float(np.sum(1.0 / np.sqrt(k * k - s[:n])))
+
+
+def rod_curves():
+    """The nine figure-2 curves and a periodic grid that hits thresholds."""
+    from cavityrad.figures import _load_preset
+
+    preset = _load_preset(2)
+    for name in preset.sections():
+        section = preset[name]
+        rod = RodGeometry(*(float(v) for v in section["lengths"].split(",")))
+        grid = np.linspace(float(section["omega-min"]), float(section["omega-max"]),
+                           int(section["samples"]))
+        yield name, rod, BoundaryCondition(section["bc"]), float(section["temperature"]), grid
+    L = 2e-5
+    yield ("threshold grid", RodGeometry(L, L), BoundaryCondition.PERIODIC, 300.0,
+           np.linspace(0.0, 10.0 * 2.0 * math.pi * C_LIGHT / L, 101))
+
+
+def test_rod_grid_equals_per_sample_evaluation():
+    # one table for the whole grid gives every value of a table per sample,
+    # bit for bit, refuses the same samples and names the same modes
+    from cavityrad.slab_rod import _rod_density_grid
+
+    curves = list(rod_curves())
+    assert len(curves) == 10
+    refused = 0
+    for name, rod, bc, T, grid in curves:
+        values, singular = _rod_density_grid(grid, T, rod, bc)
+        for i, w in enumerate(grid.tolist()):
+            expected = per_sample_rod_density(w, T, rod, bc)
+            if expected is None:
+                refused += 1
+                assert np.isnan(values[i]), (name, i)
+                with pytest.raises(ThresholdSingularityError) as err:
+                    rod_density(w, T, rod, bc)
+                assert singular[i].mode == err.value.mode, (name, i)
+                continue
+            assert i not in singular and values[i] == expected, (name, i)
+            assert rod_density(w, T, rod, bc) == expected, (name, i)
+    assert refused >= 5
+
+
 def test_rod_density_nonnegative_random():
     rng = np.random.default_rng(23)
     rod = RodGeometry(2e-5, 1.5e-5)

@@ -22,6 +22,8 @@ from cavityrad import (
     rod_threshold_frequencies,
     rod_transverse_modes,
     rod_window_average,
+    spherical_bessel_zeros,
+    spherical_jl,
 )
 from cavityrad.validate import finite_real
 
@@ -66,6 +68,22 @@ def test_numpy_scalars_accepted_bool_refused(name):
     np.testing.assert_array_equal(call(scalar), call(float(scalar)))
     with pytest.raises(ValueError):
         call(True)
+
+
+# integer orders: numpy integers are the same order, bool is not an order
+INTEGER_ORDERS = {
+    "spherical_jl.l": lambda l: spherical_jl(l, 1.0),
+    "spherical_bessel_zeros.l": lambda l: spherical_bessel_zeros(l, 10.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGER_ORDERS))
+def test_integer_order_numpy_accepted_bool_refused(name):
+    call = INTEGER_ORDERS[name]
+    np.testing.assert_array_equal(call(np.int64(1)), call(1))
+    for bad in (True, False, np.True_, 1.0):
+        with pytest.raises(ValueError, match="l must be a nonnegative integer"):
+            call(bad)
 
 
 def test_geometry_stores_plain_floats():

@@ -161,36 +161,35 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
     """Rod density at every omega of a 1-D array of finite omegas >= 0.
 
     All samples share one sorted transverse table, built for the largest
-    omega. Returns the densities and a dict from the index of each sample
-    inside a guard window to its ThresholdSingularityError; those samples
-    hold nan. Each value is the one rod_density gives, bit for bit: the
-    entries below (omega/c)^2 are the same sorted prefix for any table that
-    covers omega, and each sample sums its own prefix.
+    omega, and one mean_oscillator_energy call. Returns the densities and a
+    dict from the index of each sample inside a guard window to its
+    ThresholdSingularityError; those samples hold nan. Each value is the one
+    a table sized to its own omega gives, bit for bit: the entries below
+    (omega/c)^2 are the same sorted prefix for any table that covers omega,
+    and each sample sums its own prefix.
     """
     k = omega / C_LIGHT
-    s = _transverse_k2(geom, bc, float(k.max()) * (1.0 + 4.0 * max(threshold_guard, 1e-9)))
+    s = _transverse_k2(geom, bc, max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9)))
     k2 = k * k
-    n = np.searchsorted(s, k2, side="left")  # admitted modes: s < k^2
-    values = np.zeros(omega.size)
+    n = s.searchsorted(k2)  # admitted modes: s < k^2
     singular = {}
     if threshold_guard > 0.0:
-        i0 = np.searchsorted(s, (k * (1.0 - threshold_guard)) ** 2, side="left")
-        i1 = np.searchsorted(s, (k * (1.0 + threshold_guard)) ** 2, side="left")
+        i0 = s.searchsorted((k * (1.0 - threshold_guard)) ** 2)
+        i1 = s.searchsorted((k * (1.0 + threshold_guard)) ** 2)
         for i in (i1 > i0).nonzero()[0].tolist():
             k_perp = math.sqrt(s[i0[i]])
             singular[i] = ThresholdSingularityError(
                 float(omega[i]), *_mode_indices(geom, bc, k_perp), k_perp)
-            values[i] = np.nan
             n[i] = 0
-    live = n.nonzero()[0]
-    if live.size:
-        pref = 2.0 * omega[live] * mean_oscillator_energy(omega[live], T) / (
-            math.pi * C_LIGHT**2 * geom.L1 * geom.L2
-        )
-        for i, p, kk, m in zip(live.tolist(), pref.tolist(), k2[live].tolist(),
-                               n[live].tolist()):
-            # ascending s = ascending term magnitude keeps the sum well conditioned
-            values[i] = p * float(np.sum(1.0 / np.sqrt(kk - s[:m])))
+    # ascending s = ascending term magnitude keeps each sum well conditioned
+    totals = [float(np.sum(1.0 / np.sqrt(kk - s[:m]))) if m else 0.0
+              for kk, m in zip(k2.tolist(), n.tolist())]
+    pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
+        math.pi * C_LIGHT**2 * geom.L1 * geom.L2
+    )
+    values = pref * np.array(totals)
+    if singular:
+        values[list(singular)] = np.nan
     return values, singular
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import BoundaryCondition, GeometryDescriptors
-from .modes import ModeList, _merge_weighted
+from .geometry import BoundaryCondition, GeometryDescriptors, axis_wavenumbers, quantization
+from .modes import ModeList
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -171,37 +171,23 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max,
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
-    if volume is None:
-        volume = side**3
+    period, offset, _ = quantization(bc)
+    if volume is None:  # past 1e100 the norm cap refuses; float ** raises on overflow
+        volume = side**3 if side < 1e100 else math.inf
     layout = _bin_layout(omega_max, delta_omega, volume)
-    if bc is BoundaryCondition.PERIODIC:
-        unit, lowest = 2.0 * math.pi * C_LIGHT / side, 1   # omega = unit*sqrt(m)
-    elif bc is BoundaryCondition.ANTIPERIODIC:
-        unit, lowest = math.pi * C_LIGHT / side, 3         # omega = unit*sqrt(sum (2n+1)^2)
-    elif bc is BoundaryCondition.DIRICHLET:
-        unit, lowest = math.pi * C_LIGHT / side, 3         # omega = unit*sqrt(m), n_i >= 1
-    else:
-        raise TypeError("bc must be a BoundaryCondition")
+    # k = period*(n + offset)/side = (unit/c)*j with the integer j = scale*(n + offset)
+    scale = 2 if offset else 1
+    unit = period / scale * C_LIGHT / side
     m_max = _norm_bound(omega_max, unit)
-    if m_max < lowest:
-        return _bin(np.empty(0), np.empty(0, dtype=np.int64), T, delta_omega, volume, layout)
-    r1 = np.zeros(m_max + 1)
-    roots = np.arange(1, math.isqrt(m_max) + 1)
-    if bc is BoundaryCondition.PERIODIC:
-        r1[0] = 1.0
-        r1[roots**2] = 2.0                             # +-n
-    elif bc is BoundaryCondition.ANTIPERIODIC:
-        r1[roots[::2] ** 2] = 2.0                      # n and -n-1 give the same odd square
-    else:
-        r1[roots**2] = 1.0
+    _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
+    j2 = (scale * n + int(scale * offset)) ** 2
+    r1 = np.bincount(j2[j2 <= m_max], minlength=m_max + 1).astype(float)
     r3 = _exact_counts_by_convolution(r1, m_max)
     m = np.flatnonzero(r3)
     m = m[m > 0]                                       # periodic zero mode excluded
     om = unit * np.sqrt(m.astype(float))
     keep = om <= omega_max
-    om, mult = om[keep], 2 * r3[m[keep]]               # polarization doubling
-    om, mult = _merge_weighted(om, mult)
-    return _bin(om, mult, T, delta_omega, volume, layout)
+    return _bin(om[keep], 2 * r3[m[keep]], T, delta_omega, volume, layout)  # 2 polarizations
 
 
 def weyl_density(omega, T, desc: GeometryDescriptors):

@@ -45,13 +45,17 @@ class UsageError(Exception):
     pass
 
 
-# long option name -> (dest, converter); shared by flags and config files
+def _floats(text):
+    return tuple(float(p) for p in text.split(","))
+
+
+# run keys -> converter; flags, --config lines and preset sections share them
 _KEYSPEC = {
     "geometry": str,
     "bc": str,
-    "length": float,
-    "lengths": str,
-    "diameter": float,
+    "length": _floats,
+    "lengths": _floats,
+    "diameter": _floats,
     "temperature": float,
     "omega-min": float,
     "omega-max": float,
@@ -62,12 +66,25 @@ _KEYSPEC = {
     "output": str,
 }
 
+# geometry -> (class, run key of its lengths, number of lengths)
+_GEOMETRIES = {
+    "film": (FilmGeometry, "length", 1),
+    "rod": (RodGeometry, "lengths", 2),
+    "box": (BoxGeometry, "lengths", 3),
+    "sphere": (SphereGeometry, "diameter", 1),
+}
+
+# values of the run keys that no flag, --config line or preset section sets
+_DEFAULTS = {"omega-min": 0.0, "samples": 1000, "delta-omega": 1e13, "format": "csv",
+             "output": "-"}
+
 
 @dataclass
 class RunConfig:
     geometry: str
-    bc: BoundaryCondition | None
+    bc: BoundaryCondition
     lengths: tuple
+    geom: object  # built from lengths, which it checks
     temperature: float
     omega_min: float
     omega_max: float
@@ -78,19 +95,10 @@ class RunConfig:
     output: str
     warnings: list = field(default_factory=list)
 
-    def geom(self):
-        if self.geometry == "film":
-            return FilmGeometry(*self.lengths)
-        if self.geometry == "rod":
-            return RodGeometry(*self.lengths)
-        if self.geometry == "box":
-            return BoxGeometry(*self.lengths)
-        return SphereGeometry(*self.lengths)
-
     def echo(self):
         cfg = {
             "geometry": self.geometry,
-            "bc": self.bc.value if self.bc else "dirichlet",
+            "bc": self.bc.value,
             "temperature_K": self.temperature,
         }
         if self.geometry == "sphere":
@@ -108,137 +116,135 @@ class RunConfig:
         return cfg
 
 
-def _parse_lengths(text, expected):
-    try:
-        parts = tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise UsageError("--lengths must be comma-separated numbers") from None
-    if len(parts) != expected:
-        raise UsageError("--lengths needs exactly %d values here" % expected)
-    return parts
+def _run_keys(pairs):
+    """Checked and converted run keys from (key, text) pairs; a later pair wins."""
+    values = {}
+    for key, text in pairs:
+        if key not in _KEYSPEC:
+            raise UsageError("unknown config key %r" % key)
+        try:
+            values[key] = _KEYSPEC[key](text)
+        except ValueError:
+            raise UsageError("bad --%s value %r" % (key, text)) from None
+    return values
 
 
-def _build_config(ns):
-    geometry = ns.geometry
-    if geometry not in ("film", "rod", "box", "sphere"):
+def _build_config(values):
+    """RunConfig of a mapping of run keys; unset keys take their defaults."""
+    v = {**_DEFAULTS, **values}
+    geometry = v.get("geometry")
+    if geometry is None:
+        raise UsageError("--geometry is required")
+    if geometry not in _GEOMETRIES:
         raise UsageError("--geometry must be film, rod, box or sphere")
     if geometry == "sphere":
-        if ns.bc not in (None, "dirichlet"):
+        if v.get("bc") not in (None, "dirichlet"):
             raise UsageError("a sphere admits only the dirichlet boundary condition")
         bc = BoundaryCondition.DIRICHLET
     else:
-        if ns.bc is None:
+        if v.get("bc") is None:
             raise UsageError("--bc is required for %s" % geometry)
         try:
-            bc = BoundaryCondition(ns.bc)
+            bc = BoundaryCondition(v["bc"])
         except ValueError:
             raise UsageError("--bc must be periodic, antiperiodic or dirichlet") from None
-    if geometry == "film":
-        if ns.length is None:
-            raise UsageError("film needs --length")
-        lengths = (ns.length,)
-    elif geometry == "rod":
-        if ns.lengths is None:
-            raise UsageError("rod needs --lengths L1,L2")
-        lengths = _parse_lengths(ns.lengths, 2)
-    elif geometry == "box":
-        if ns.lengths is None:
-            raise UsageError("box needs --lengths L1,L2,L3")
-        lengths = _parse_lengths(ns.lengths, 3)
-    else:
-        if ns.diameter is None:
-            raise UsageError("sphere needs --diameter")
-        lengths = (ns.diameter,)
-    if any(not (v > 0 and math.isfinite(v)) for v in lengths):
-        raise UsageError("all lengths must be positive and finite")
-    if ns.temperature is None or not (ns.temperature > 0 and math.isfinite(ns.temperature)):
+    cls, key, count = _GEOMETRIES[geometry]
+    lengths = v.get(key)
+    if lengths is None:
+        raise UsageError("%s needs --%s" % (geometry, key))
+    if len(lengths) != count:
+        raise UsageError("--%s needs %d comma-separated value(s) here" % (key, count))
+    geom = cls(*lengths)
+    temperature, omega_max = v.get("temperature"), v.get("omega-max")
+    if temperature is None or not (temperature > 0 and math.isfinite(temperature)):
         raise UsageError("--temperature must be a positive number of kelvin")
-    if ns.omega_max is None or not (ns.omega_max > 0 and math.isfinite(ns.omega_max)):
+    if omega_max is None or not (omega_max > 0 and math.isfinite(omega_max)):
         raise UsageError("--omega-max must be > 0")
-    omega_min = getattr(ns, "omega_min", 0.0) or 0.0
-    if not (0.0 <= omega_min < ns.omega_max):
+    if not (0.0 <= v["omega-min"] < omega_max):
         raise UsageError("need 0 <= --omega-min < --omega-max")
-    samples = getattr(ns, "samples", 1000)
-    if samples < 2:
+    if v["samples"] < 2:
         raise UsageError("--samples must be >= 2")
-    delta = getattr(ns, "delta_omega", 1e13)
-    if not (delta > 0 and math.isfinite(delta)):
+    if not (v["delta-omega"] > 0 and math.isfinite(v["delta-omega"])):
         raise UsageError("--delta-omega must be > 0")
-    compare = tuple(p for p in (getattr(ns, "compare", None) or "").split(",") if p)
+    compare = tuple(p for p in v.get("compare", "").split(",") if p)
     for c in compare:
         if c not in ("planck", "weyl"):
             raise UsageError("--compare entries must be planck or weyl")
     if "weyl" in compare and geometry in ("film", "rod"):
         raise UsageError("weyl comparison needs a closed cavity (box or sphere)")
-    fmt = getattr(ns, "format", "csv") or "csv"
-    if fmt not in ("csv", "json"):
+    if v["format"] not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
     return RunConfig(
-        geometry=geometry, bc=bc, lengths=lengths, temperature=ns.temperature,
-        omega_min=omega_min, omega_max=ns.omega_max, samples=samples,
-        delta_omega=delta, compare=compare, fmt=fmt,
-        output=getattr(ns, "output", "-") or "-",
+        geometry=geometry, bc=bc, lengths=lengths, geom=geom, temperature=temperature,
+        omega_min=v["omega-min"], omega_max=omega_max, samples=v["samples"],
+        delta_omega=v["delta-omega"], compare=compare, fmt=v["format"],
+        output=v["output"] or "-",
     )
 
 
-def _pointwise_series(cfg):
-    if cfg.samples > MAX_SAMPLES:
-        raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
-    grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
-    geom = cfg.geom()
-    if cfg.geometry == "film":
-        values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
+def _mode_list(cfg, geom):
+    if cfg.geometry == "sphere":
+        return enumerate_sphere_modes(geom, cfg.omega_max)
+    return enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
+
+
+def compute(cfg):
+    """The series of a spectrum run and the grid its comparison columns use.
+
+    Each series is (name, omega, values): the spectrum first, sampled on the
+    film or rod grid or binned for a box or sphere, then one column per
+    --compare entry, evaluated on the grid that is returned: the samples, or
+    the bin centers of a binned run.
+    """
+    geom = cfg.geom
+    if cfg.geometry in ("film", "rod"):
+        if cfg.samples > MAX_SAMPLES:
+            raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
+        omega = grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
+        if cfg.geometry == "film":
+            values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
+        else:
+            densities, singular = _rod_density_grid(grid, cfg.temperature, geom, cfg.bc)
+            values = [None if i in singular else float(v) for i, v in enumerate(densities)]
+            for i, exc in singular.items():
+                cfg.warnings.append(
+                    "singular sample skipped at omega=%r: transverse mode "
+                    "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
+                )
     else:
-        densities, singular = _rod_density_grid(grid, cfg.temperature, geom, cfg.bc)
-        values = [None if i in singular else float(v) for i, v in enumerate(densities)]
-        for i, exc in singular.items():
-            cfg.warnings.append(
-                "singular sample skipped at omega=%r: transverse mode "
-                "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
-            )
-    series = [("spectrum", grid, values)]
+        _bin_count(cfg.omega_max, cfg.delta_omega)  # refuses too many bins before any work
+        if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
+            # a cube's frequencies are sqrt(integer norms): no lattice scan needed
+            spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
+                                       cfg.omega_max, volume=geom.volume)
+        else:
+            spec = binned_density(_mode_list(cfg, geom), cfg.temperature, cfg.delta_omega,
+                                  geom.volume)
+        omega, values, grid = spec.omega_left, [float(v) for v in spec.u], spec.omega_centers
+    series = [("spectrum", omega, values)]
     if "planck" in cfg.compare:
         series.append(("planck", grid,
                        [float(v) for v in planck_density(grid, cfg.temperature)]))
-    return series
-
-
-def _binned_series(cfg):
-    _bin_count(cfg.omega_max, cfg.delta_omega)  # refuses too many bins before any work
-    geom = cfg.geom()
-    if cfg.geometry == "sphere":
-        modes = enumerate_sphere_modes(geom, cfg.omega_max)
-        spec = binned_density(modes, cfg.temperature, cfg.delta_omega, geom.volume)
-    elif geom.L1 == geom.L2 == geom.L3:
-        # a cube's frequencies are sqrt(integer norms): no lattice scan needed
-        spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
-                                   cfg.omega_max, volume=geom.volume)
-    else:
-        modes = enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
-        spec = binned_density(modes, cfg.temperature, cfg.delta_omega, geom.volume)
-    series = [("spectrum", spec.omega_left, [float(v) for v in spec.u])]
-    centers = spec.omega_centers
-    if "planck" in cfg.compare:
-        series.append(("planck", centers,
-                       [float(v) for v in planck_density(centers, cfg.temperature)]))
     if "weyl" in cfg.compare:
         desc = descriptors_for(geom)
-        series.append(("weyl", centers,
-                       [float(v) for v in weyl_density(centers, cfg.temperature, desc)]))
-    return series
+        series.append(("weyl", grid,
+                       [float(v) for v in weyl_density(grid, cfg.temperature, desc)]))
+    return series, grid
+
+
+def _csv_lines(cfg, series):
+    """CSV lines of a spectrum run: omega, the spectrum, then each comparison."""
+    header = ["omega_left_rad_s" if cfg.geometry in ("box", "sphere") else "omega_rad_s",
+              "u_J_s_m3"]
+    # reference columns for binned runs are evaluated at bin centers
+    header += ["%s_J_s_m3" % name for name, _, _ in series[1:]]
+    columns = [[float(w) for w in series[0][1]]] + [values for _, _, values in series]
+    return spectrum_csv_lines(header, columns)
 
 
 def _emit(cfg, command, series):
-    binned = cfg.geometry in ("box", "sphere")
     if cfg.fmt == "csv":
-        header = ["omega_left_rad_s" if binned else "omega_rad_s", "u_J_s_m3"]
-        columns = [[float(w) for w in series[0][1]], series[0][2]]
-        for name, _omega, values in series[1:]:
-            # reference columns for binned runs are evaluated at bin centers
-            header.append("%s_J_s_m3" % name)
-            columns.append(values)
-        lines = spectrum_csv_lines(header, columns)
-        _write_lines(cfg.output, lines)
+        _write_lines(cfg.output, _csv_lines(cfg, series))
     else:
         payload = {
             "config": dict(command=command, **cfg.echo()),
@@ -264,25 +270,24 @@ def _write_lines(output, lines):
         write_csv(output, lines)
 
 
+def _args_config(ns):
+    """RunConfig of a spectrum or modes command line; flags win over --config lines."""
+    pairs = _config_lines(ns.config) if getattr(ns, "config", None) else []
+    pairs += [(key, getattr(ns, key.replace("-", "_"), None)) for key in _KEYSPEC]
+    return _build_config(_run_keys((key, text) for key, text in pairs if text is not None))
+
+
 def run_spectrum(ns):
-    cfg = _build_config(ns)
-    if cfg.geometry in ("film", "rod"):
-        series = _pointwise_series(cfg)
-    else:
-        series = _binned_series(cfg)
-    _emit(cfg, "spectrum", series)
+    cfg = _args_config(ns)
+    _emit(cfg, "spectrum", compute(cfg)[0])
     return 0
 
 
 def run_modes(ns):
-    cfg = _build_config(ns)
+    cfg = _args_config(ns)
     if cfg.geometry not in ("box", "sphere"):
         raise UsageError("modes are enumerated for box and sphere geometries only")
-    geom = cfg.geom()
-    if cfg.geometry == "box":
-        modes = enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
-    else:
-        modes = enumerate_sphere_modes(geom, cfg.omega_max)
+    modes = _mode_list(cfg, cfg.geom)
     _write_lines(cfg.output, modes_csv_lines(modes))
     print(
         "modes: %d distinct frequencies, N(<=omega_max)=%d"
@@ -304,30 +309,29 @@ def run_figures(ns):
 
 
 def _add_run_flags(p, include_sampling=True):
-    p.add_argument("--geometry", required=False)
-    p.add_argument("--bc", default=None)
-    p.add_argument("--length", type=float, default=None, help="film plate separation, m")
-    p.add_argument("--lengths", default=None, help="comma separated lengths, m")
-    p.add_argument("--diameter", type=float, default=None, help="sphere diameter, m")
-    p.add_argument("--temperature", type=float, default=None, help="temperature, K")
-    p.add_argument("--omega-max", type=float, default=None, help="cutoff, rad/s")
-    p.add_argument("--output", default="-", help="output path; '-' is stdout")
+    # every value stays text here; _run_keys converts flags and --config lines alike
+    p.add_argument("--geometry")
+    p.add_argument("--bc")
+    p.add_argument("--length", help="film plate separation, m")
+    p.add_argument("--lengths", help="comma separated lengths, m")
+    p.add_argument("--diameter", help="sphere diameter, m")
+    p.add_argument("--temperature", help="temperature, K")
+    p.add_argument("--omega-max", help="cutoff, rad/s")
+    p.add_argument("--output", help="output path; '-' is stdout (default)")
     if include_sampling:
-        p.add_argument("--omega-min", type=float, default=0.0, help="grid start, rad/s")
-        p.add_argument("--samples", type=int, default=1000, help="grid size for film/rod")
-        p.add_argument("--delta-omega", type=float, default=1e13,
-                       help="bin width for box/sphere, rad/s")
-        p.add_argument("--compare", default=None, help="comma subset of planck,weyl")
-        p.add_argument("--format", default="csv", choices=("csv", "json"))
-        p.add_argument("--config", default=None,
+        p.add_argument("--omega-min", help="grid start, rad/s (default 0)")
+        p.add_argument("--samples", help="grid size for film/rod (default 1000)")
+        p.add_argument("--delta-omega", help="bin width for box/sphere, rad/s (default 1e13)")
+        p.add_argument("--compare", help="comma subset of planck,weyl")
+        p.add_argument("--format", help="csv (default) or json")
+        p.add_argument("--config",
                        help="key=value file with the same keys as the flags; flags win")
 
 
-def _apply_config_file(ns, argv):
-    if not getattr(ns, "config", None):
-        return ns
-    values = {}
-    with open(ns.config, "r", encoding="utf-8") as fh:
+def _config_lines(path):
+    """(key, text) pairs of a key=value file; '#' starts a comment."""
+    pairs = []
+    with open(path, "r", encoding="utf-8") as fh:
         for raw in fh:
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -335,16 +339,8 @@ def _apply_config_file(ns, argv):
             if "=" not in line:
                 raise UsageError("config line without '=': %r" % raw.strip())
             key, _, val = line.partition("=")
-            key = key.strip()
-            if key not in _KEYSPEC:
-                raise UsageError("unknown config key %r" % key)
-            values[key] = _KEYSPEC[key](val.strip())
-    for key, val in values.items():
-        flag = "--" + key
-        given = any(tok == flag or tok.startswith(flag + "=") for tok in argv)
-        if not given:
-            setattr(ns, key.replace("-", "_"), val)
-    return ns
+            pairs.append((key.strip(), val.strip()))
+    return pairs
 
 
 def _thread_cap():
@@ -380,18 +376,11 @@ def build_parser():
 
 
 def main(argv=None):
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    ns = parser.parse_args(argv)
+    ns = build_parser().parse_args(argv)
     try:
         _thread_cap()
-        ns = _apply_config_file(ns, argv)
-        if ns.command == "spectrum" and ns.geometry is None:
-            raise UsageError("--geometry is required")
-        if ns.command == "modes" and ns.geometry is None:
-            raise UsageError("--geometry is required")
         return ns.fn(ns)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     except ResourceLimitError as exc:
@@ -400,9 +389,6 @@ def main(argv=None):
     except NumericalCheckError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
-    except (ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

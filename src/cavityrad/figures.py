@@ -9,18 +9,18 @@ reference on the panel's frequency grid.
 
 from __future__ import annotations
 
-import argparse
 import configparser
 import os
 from importlib import resources
 
-import numpy as np
-
-from .cli import _KEYSPEC, _binned_series, _build_config, _pointwise_series
+from .cli import _build_config, _csv_lines, _run_keys, compute
 from .io import spectrum_csv_lines, write_csv
 from .planck import planck_density
 
 __all__ = ["generate_figure"]
+
+# section keys that place a curve in a figure; all others are run keys
+_PRESET_KEYS = ("panel", "curve", "planck-reference")
 
 
 def _load_preset(fig_id):
@@ -28,18 +28,6 @@ def _load_preset(fig_id):
     text = resources.files("cavityrad").joinpath("presets/fig%d.cfg" % fig_id).read_text()
     cp.read_string(text)
     return cp
-
-
-def _section_namespace(section):
-    ns = argparse.Namespace(
-        geometry=None, bc=None, length=None, lengths=None, diameter=None,
-        temperature=None, omega_min=0.0, omega_max=None, samples=1000,
-        delta_omega=1e13, compare=None, format="csv", output="-",
-    )
-    for key, conv in _KEYSPEC.items():
-        if key in section:
-            setattr(ns, key.replace("-", "_"), conv(section[key]))
-    return ns
 
 
 def generate_figure(fig_id, output_dir):
@@ -51,26 +39,14 @@ def generate_figure(fig_id, output_dir):
     for name in cp.sections():
         section = cp[name]
         panel = section["panel"]
-        curve = section["curve"]
-        cfg = _build_config(_section_namespace(section))
-        if cfg.geometry in ("film", "rod"):
-            series = _pointwise_series(cfg)
-            omega_header = "omega_rad_s"
-            ref_grid = np.asarray(series[0][1])
-        else:
-            series = _binned_series(cfg)
-            omega_header = "omega_left_rad_s"
-            ref_grid = np.asarray(series[0][1]) + 0.5 * cfg.delta_omega
-        header = [omega_header, "u_J_s_m3"]
-        columns = [[float(w) for w in series[0][1]], series[0][2]]
-        for sname, _omega, values in series[1:]:
-            header.append("%s_J_s_m3" % sname)
-            columns.append(values)
-        path = os.path.join(output_dir, "fig%d_%s_%s.csv" % (fig_id, panel, curve))
-        write_csv(path, spectrum_csv_lines(header, columns))
+        cfg = _build_config(_run_keys(
+            (key, text) for key, text in section.items() if key not in _PRESET_KEYS))
+        series, grid = compute(cfg)
+        path = os.path.join(output_dir, "fig%d_%s_%s.csv" % (fig_id, panel, section["curve"]))
+        write_csv(path, _csv_lines(cfg, series))
         written.append(path)
         if section.getboolean("planck-reference", fallback=False):
-            panel_refs[panel] = (ref_grid, cfg.temperature)
+            panel_refs[panel] = (grid, cfg.temperature)
     for panel, (grid, temperature) in panel_refs.items():
         vals = [float(v) for v in planck_density(grid, temperature)]
         path = os.path.join(output_dir, "fig%d_%s_planck.csv" % (fig_id, panel))

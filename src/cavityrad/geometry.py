@@ -6,10 +6,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
+import numpy as np
+
 from .validate import finite_real
 
 __all__ = [
     "BoundaryCondition",
+    "quantization",
+    "axis_bound",
+    "axis_wavenumbers",
     "FilmGeometry",
     "RodGeometry",
     "BoxGeometry",
@@ -25,6 +30,47 @@ class BoundaryCondition(Enum):
     PERIODIC = "periodic"
     ANTIPERIODIC = "antiperiodic"
     DIRICHLET = "dirichlet"
+
+
+# k_n = period*(n + offset)/L on a constrained axis of length L, for every
+# integer n (two-sided) or for n >= 1 only
+_RULES = {
+    BoundaryCondition.PERIODIC: (2.0 * math.pi, 0.0, True),
+    BoundaryCondition.ANTIPERIODIC: (2.0 * math.pi, 0.5, True),
+    BoundaryCondition.DIRICHLET: (math.pi, 0.0, False),
+}
+
+
+def quantization(bc):
+    """(period, offset, two_sided) of the rule k_n = period*(n + offset)/L."""
+    if not isinstance(bc, BoundaryCondition):
+        raise TypeError("bc must be a BoundaryCondition")
+    return _RULES[bc]
+
+
+def axis_bound(L, bc, k_max):
+    """Label bound m of one axis covering |k| <= k_max, and the axis size.
+
+    The axis holds the labels with |n + offset| <= m (two-sided) or 1 <= n <= m.
+    Both are floats, so a cutoff too large for any array yields a huge or
+    infinite size to refuse instead of an overflow.
+    """
+    period, offset, two_sided = quantization(bc)
+    m = float(np.ceil(k_max * L / period + offset)) + 1.0
+    if not two_sided:
+        return m, m
+    return m, 2.0 * m + (1.0 if offset == 0.0 else 0.0)  # n = 0 has no mirror at offset 0
+
+
+def axis_wavenumbers(L, bc, m):
+    """Wavenumbers and their integer labels n on one axis with label bound m."""
+    period, offset, two_sided = quantization(bc)
+    m = int(m)
+    if not two_sided:
+        n = np.arange(1, m + 1)
+    else:
+        n = np.arange(-m, m + 1 if offset == 0.0 else m)
+    return period * (n + offset) / L, n
 
 
 def _require_positive(geom, *names):

@@ -21,7 +21,8 @@ import numpy as np
 from .bessel import build_bessel_zero_table
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
-from .geometry import BoundaryCondition, BoxGeometry, SphereGeometry
+from .geometry import (BoundaryCondition, BoxGeometry, SphereGeometry, axis_bound,
+                       axis_wavenumbers)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -81,34 +82,6 @@ def _merge_weighted(omegas, weights):
     return om[starts], np.add.reduceat(wt, starts).astype(np.int64)
 
 
-def _box_axis_bound(L, bc, k_max):
-    """Index bound m of one box axis covering |k| <= k_max, and the axis size.
-
-    Both are floats, so a cutoff too large for any array yields a huge or
-    infinite size to refuse instead of an overflow.
-    """
-    if bc is BoundaryCondition.PERIODIC:
-        m = float(np.ceil(k_max * L / (2.0 * math.pi))) + 1.0
-        return m, 2.0 * m + 1.0
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        m = float(np.ceil(k_max * L / (2.0 * math.pi) + 0.5)) + 1.0
-        return m, 2.0 * m
-    if bc is BoundaryCondition.DIRICHLET:
-        m = float(np.ceil(k_max * L / math.pi)) + 1.0
-        return m, m
-    raise TypeError("bc must be a BoundaryCondition")
-
-
-def _box_axis(L, bc, m):
-    """All candidate wavenumbers on one box axis with index bound m."""
-    m = int(m)
-    if bc is BoundaryCondition.PERIODIC:
-        return 2.0 * math.pi * np.arange(-m, m + 1) / L
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        return 2.0 * math.pi * (np.arange(-m, m) + 0.5) / L
-    return math.pi * np.arange(1, m + 1) / L
-
-
 def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
                         max_lattice_points=DEFAULT_LATTICE_CAP):
     """Every box eigenfrequency omega = c*k <= omega_max as a ModeList.
@@ -122,24 +95,25 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     k_max = omega_max / C_LIGHT
     lengths = (geom.L1, geom.L2, geom.L3)
-    bounds = [_box_axis_bound(L, bc, k_max) for L in lengths]
+    bounds = [axis_bound(L, bc, k_max) for L in lengths]
     required = math.prod(size for _, size in bounds)
     if required > max_lattice_points:  # checked before any axis is allocated
         raise ResourceLimitError(required, max_lattice_points)
-    k1, k2, k3 = (_box_axis(L, bc, m) for L, (m, _) in zip(lengths, bounds))
+    k1, k2, k3 = (axis_wavenumbers(L, bc, m)[0] for L, (m, _) in zip(lengths, bounds))
     s_cap = (k_max * k_max) * (1.0 + 4e-16)  # superset; exact filter in omega below
     collected = []
-    if k2.size * k3.size <= 5 * 10**7:
-        grid = (k2**2)[:, None] + (k3**2)[None, :]
-        grid = grid.ravel()
-        for a in k1 * k1:
-            s = a + grid
-            collected.append(s[s <= s_cap])
-    else:
-        for a in k1 * k1:
-            for b in k2 * k2:
-                s = (a + b) + k3 * k3
+    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
+        if k2.size * k3.size <= 5 * 10**7:
+            grid = (k2**2)[:, None] + (k3**2)[None, :]
+            grid = grid.ravel()
+            for a in k1 * k1:
+                s = a + grid
                 collected.append(s[s <= s_cap])
+        else:
+            for a in k1 * k1:
+                for b in k2 * k2:
+                    s = (a + b) + k3 * k3
+                    collected.append(s[s <= s_cap])
     s = np.concatenate(collected) if collected else np.empty(0)
     s = s[s > 0.0]  # periodic zero mode carries no energy
     om = C_LIGHT * np.sqrt(s)

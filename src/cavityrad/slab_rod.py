@@ -19,8 +19,9 @@ from functools import lru_cache
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ThresholdSingularityError
-from .geometry import BoundaryCondition, FilmGeometry, RodGeometry
+from .errors import ResourceLimitError, ThresholdSingularityError
+from .geometry import (BoundaryCondition, FilmGeometry, RodGeometry, axis_bound,
+                       axis_wavenumbers, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -36,6 +37,11 @@ __all__ = [
 #: relative half-width of the rod threshold guard window
 THRESHOLD_GUARD = 1e-9
 
+#: cap on the entries of one transverse k^2 table; more raises
+#: ResourceLimitError. At the cap a rod_density call takes ~2.2 s and ~1.0 GB
+#: peak RSS, rod_threshold_frequencies ~3.2 s and ~1.3 GB, on a 2-vCPU Xeon VM.
+MAX_ROD_TABLE = 5 * 10**7
+
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
     """Number of longitudinal wavenumbers admitted below omega/c.
@@ -47,17 +53,15 @@ def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
     Floors jump at exact integer arguments and take the upper value there
     (right-continuity in omega): a mode is counted the instant it is admitted.
     """
+    period, offset, two_sided = quantization(bc)
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)) or np.any(omega < 0):
         raise ValueError("omega must be finite and >= 0")
-    if bc is BoundaryCondition.PERIODIC:
-        n = 2.0 * np.floor(omega * geom.L1 / (2.0 * C_LIGHT * math.pi)) + 1.0
-    elif bc is BoundaryCondition.ANTIPERIODIC:
-        n = 2.0 * np.floor(omega * geom.L1 / (2.0 * C_LIGHT * math.pi) + 0.5)
-    elif bc is BoundaryCondition.DIRICHLET:
-        n = np.floor(omega * geom.L1 / (C_LIGHT * math.pi))
+    q = omega * geom.L1 / (C_LIGHT * period)
+    if two_sided:  # labels n and -n - 2*offset pair up; n = 0 is alone at offset 0
+        n = 2.0 * np.floor(q + offset) + (1.0 if offset == 0.0 else 0.0)
     else:
-        raise TypeError("bc must be a BoundaryCondition")
+        n = np.floor(q)
     return int(n) if n.ndim == 0 else n.astype(np.int64)
 
 
@@ -70,45 +74,37 @@ def film_density(omega, T, geom: FilmGeometry, bc: BoundaryCondition):
     return float(out) if out.ndim == 0 else out
 
 
-def _axis_extent(L, bc, k_cap):
-    """Integer axis extent covering |k_i| <= k_cap with one spare entry."""
-    if bc is BoundaryCondition.PERIODIC:
-        return math.ceil(k_cap * L / (2.0 * math.pi)) + 1
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        return math.ceil(k_cap * L / (2.0 * math.pi) + 0.5) + 1
-    if bc is BoundaryCondition.DIRICHLET:
-        return math.ceil(k_cap * L / math.pi) + 1
-    raise TypeError("bc must be a BoundaryCondition")
+def _rod_bounds(geom, bc, k_cap):
+    """Label bounds (m1, m2) of the transverse table covering k_perp <= k_cap.
+
+    The table's size is compared with MAX_ROD_TABLE as a float, before any int
+    or array of that size exists.
+    """
+    (m1, size1), (m2, size2) = axis_bound(geom.L1, bc, k_cap), axis_bound(geom.L2, bc, k_cap)
+    if not size1 * size2 <= MAX_ROD_TABLE:
+        raise ResourceLimitError(size1 * size2, MAX_ROD_TABLE, "transverse modes")
+    return int(m1), int(m2)
 
 
-def _axis_wavenumbers(L, bc, extent):
-    """Wavenumbers and their integer labels for a given axis extent."""
-    if bc is BoundaryCondition.PERIODIC:
-        n = np.arange(-extent, extent + 1)
-        return 2.0 * math.pi * n / L, n
-    if bc is BoundaryCondition.ANTIPERIODIC:
-        n = np.arange(-extent, extent)
-        return 2.0 * math.pi * (n + 0.5) / L, n
-    n = np.arange(1, extent + 1)
-    return math.pi * n / L, n
+def _k2_grid(geom, bc, m1, m2):
+    """Axis wavenumbers, their labels and the k1^2 + k2^2 grid for bounds m1, m2."""
+    k1, n1 = axis_wavenumbers(geom.L1, bc, m1)
+    k2, n2 = axis_wavenumbers(geom.L2, bc, m2)
+    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
+        s = (k1**2)[:, None] + (k2**2)[None, :]
+    return s, k1, k2, n1, n2
 
 
 @lru_cache(maxsize=32)
-def _k2_sorted_cached(L1, L2, bc_value, m1, m2):
-    bc = BoundaryCondition(bc_value)
-    k1, _ = _axis_wavenumbers(L1, bc, m1)
-    k2, _ = _axis_wavenumbers(L2, bc, m2)
-    s = (k1**2)[:, None] + (k2**2)[None, :]
-    s = np.sort(s.ravel())
+def _k2_sorted_cached(geom, bc, m1, m2):
+    s = np.sort(_k2_grid(geom, bc, m1, m2)[0].ravel())
     s.setflags(write=False)
     return s
 
 
 def _transverse_k2(geom, bc, k_cap):
     """Sorted transverse k^2 grid covering k_perp <= k_cap (cached)."""
-    m1 = _axis_extent(geom.L1, bc, k_cap)
-    m2 = _axis_extent(geom.L2, bc, k_cap)
-    return _k2_sorted_cached(geom.L1, geom.L2, bc.value, m1, m2)
+    return _k2_sorted_cached(geom, bc, *_rod_bounds(geom, bc, k_cap))
 
 
 def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
@@ -119,9 +115,7 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     k = omega / C_LIGHT
-    k1, _ = _axis_wavenumbers(geom.L1, bc, _axis_extent(geom.L1, bc, k))
-    k2, _ = _axis_wavenumbers(geom.L2, bc, _axis_extent(geom.L2, bc, k))
-    s = (k1**2)[:, None] + (k2**2)[None, :]
+    s, k1, k2, _, _ = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k))
     i1, i2 = np.nonzero(s < k * k)
     pairs = np.column_stack([k1[i1], k2[i2]])
     order = np.lexsort((pairs[:, 1], pairs[:, 0], pairs[:, 0] ** 2 + pairs[:, 1] ** 2))
@@ -195,9 +189,7 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
 
 def _mode_indices(geom, bc, k_perp):
     """Lattice indices (n1, n2) of the transverse mode at k_perp (error path only)."""
-    k1, n1 = _axis_wavenumbers(geom.L1, bc, _axis_extent(geom.L1, bc, k_perp * 1.001))
-    k2, n2 = _axis_wavenumbers(geom.L2, bc, _axis_extent(geom.L2, bc, k_perp * 1.001))
-    s = (k1**2)[:, None] + (k2**2)[None, :]
+    s, _, _, n1, n2 = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_perp * 1.001))
     i, j = np.unravel_index(np.argmin(np.abs(s - k_perp**2)), s.shape)
     return int(n1[i]), int(n2[j])
 

@@ -216,6 +216,13 @@ def test_cube_over_norm_cap_refused_before_allocation(bc):
     assert peak < 10**6
 
 
+def test_cube_too_large_for_a_float_volume_refused():
+    # the default volume side**3 overflows, and the side implies infinitely
+    # many integer norms below any useful cutoff
+    with pytest.raises(ResourceLimitError, match="integer norms"):
+        cube_binned_density(1e103, BoundaryCondition.PERIODIC, 300.0, 1e13, 1e15)
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
     from cavityrad import binned

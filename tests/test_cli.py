@@ -190,6 +190,61 @@ def test_rod_grid_refusals_match_per_sample_loop(capsys):
     assert err.splitlines() == expected_warnings
 
 
+@pytest.mark.parametrize("flags", [
+    ("--bc", "periodic", "--lengths", "1e-1,1e-1", "--omega-max", "1e16", "--samples", "3"),
+    ("--bc", "dirichlet", "--lengths", "1e300,1e-5", "--omega-max", "1e15"),
+], ids=["10cm-rod", "1e300m-rod"])
+def test_rod_table_over_cap_exit_3(flags):
+    r = run_cli("spectrum", "--geometry", "rod", *flags, "--temperature", "300")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert "transverse modes" in r.stderr
+    assert r.stdout == ""
+
+
+@pytest.mark.parametrize("args", [
+    ("spectrum", "--geometry", "box", "--bc", "periodic", "--lengths", "1e-300,1e-5,1e-5"),
+    ("modes", "--geometry", "box", "--bc", "periodic", "--lengths", "1e-300,1e-5,1e-5"),
+    ("spectrum", "--geometry", "rod", "--bc", "periodic", "--lengths", "1e-300,1e-5",
+     "--samples", "5"),
+], ids=["box-spectrum", "box-modes", "rod-spectrum"])
+def test_overflowing_wavenumbers_print_no_warning(args):
+    # k^2 on the 1e-300 m axis overflows to inf, which is never admitted
+    r = run_cli(*args, "--temperature", "300", "--omega-max", "1e15")
+    assert r.returncode == 0, r.stderr
+    if args[0] == "modes":
+        assert r.stderr.startswith("modes: ") and len(r.stderr.splitlines()) == 1
+    else:
+        assert r.stderr == ""
+
+
+@pytest.fixture(scope="module")
+def figure_dir(tmp_path_factory):
+    from cavityrad.figures import generate_figure
+
+    out = tmp_path_factory.mktemp("figures")
+    for fig in (1, 2, 3, 4):
+        generate_figure(fig, str(out))
+    return out
+
+
+@pytest.mark.parametrize("fig, name", [(1, "periodic_0p05mm"), (2, "antiperiodic_0p05mm"),
+                                       (3, "L0p05mm_periodic"), (4, "sphere_0p05mm")])
+def test_spectrum_with_preset_keys_reproduces_figure_csv(fig, name, figure_dir, tmp_path):
+    # a preset section's run keys as a --config file give the figure's CSV, byte for byte
+    from cavityrad.figures import _load_preset
+
+    section = _load_preset(fig)[name]
+    run_keys = [(k, v) for k, v in section.items() if k not in ("panel", "curve",
+                                                                "planck-reference")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in run_keys))
+    out = tmp_path / "out.csv"
+    assert cli.main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
+    expected = figure_dir / ("fig%d_%s_%s.csv" % (fig, section["panel"], section["curve"]))
+    assert out.read_bytes() == expected.read_bytes()
+
+
 def test_modes_dirichlet_cube_first_row():
     r = run_cli("modes", "--geometry", "box", "--bc", "dirichlet",
                 "--lengths", "1e-5,1e-5,1e-5", "--temperature", "300",

@@ -14,6 +14,7 @@ from cavityrad import (
     K_B,
     BoundaryCondition,
     FilmGeometry,
+    ResourceLimitError,
     RodGeometry,
     ThresholdSingularityError,
     film_density,
@@ -287,3 +288,44 @@ def test_rod_thresholds_sorted_distinct():
     th = rod_threshold_frequencies(rod, BoundaryCondition.ANTIPERIODIC, 5e14)
     assert np.all(np.diff(th) > 0.0)
     assert th[0] > 0.0
+
+
+# every public entry point to a transverse table, at a 10 cm periodic rod and
+# 1e16 rad/s: about 1.1e12 table entries
+ROD_TABLE_CALLS = {
+    "rod_density": lambda rod: rod_density(1e16, 300.0, rod, BoundaryCondition.PERIODIC),
+    "rod_threshold_frequencies": lambda rod: rod_threshold_frequencies(
+        rod, BoundaryCondition.PERIODIC, 1e16),
+    "rod_window_average": lambda rod: rod_window_average(1e16, 300.0, rod,
+                                                         BoundaryCondition.PERIODIC),
+    "rod_transverse_modes": lambda rod: rod_transverse_modes(1e16, rod,
+                                                             BoundaryCondition.PERIODIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROD_TABLE_CALLS))
+def test_rod_table_over_cap_refused_before_allocation(name):
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        for rod in (RodGeometry(1e-1, 1e-1), RodGeometry(1e300, 1e-5)):
+            with pytest.raises(ResourceLimitError, match="transverse modes"):
+                ROD_TABLE_CALLS[name](rod)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+def test_rod_table_cap_is_on_the_table_size():
+    from cavityrad.slab_rod import MAX_ROD_TABLE, _rod_bounds
+
+    # Dirichlet axes hold m labels; m = ceil(k L/pi) + 1
+    k = 999.5 * math.pi
+    m1, m2 = _rod_bounds(RodGeometry(1.0, 1.0), BoundaryCondition.DIRICHLET, k)
+    assert m1 == m2 == 1001 and m1 * m2 <= MAX_ROD_TABLE
+    side = (MAX_ROD_TABLE / 1001.0 - 1.0) * math.pi / k  # one axis past the cap
+    with pytest.raises(ResourceLimitError, match="transverse modes"):
+        _rod_bounds(RodGeometry(1.0, side * 1.01), BoundaryCondition.DIRICHLET, k)
+    _rod_bounds(RodGeometry(1.0, side * 0.99), BoundaryCondition.DIRICHLET, k)

@@ -16,6 +16,7 @@ from cavityrad import (
     enumerate_box_modes,
     enumerate_sphere_modes,
     film_density,
+    film_mode_count,
     planck_density,
     planck_energy_fraction_below,
     rod_density,
@@ -59,6 +60,28 @@ ENTRY_POINTS = {
     "build_bessel_zero_table.x_max": (lambda v: np.concatenate(
         build_bessel_zero_table(v).zeros_by_l), np.int64(20)),
 }
+
+
+# every public function taking a boundary condition, called with bc
+BC_ENTRY_POINTS = {
+    "film_mode_count": lambda bc: film_mode_count(5e14, FilmGeometry(1e-5), bc),
+    "film_density": lambda bc: film_density(5e14, 300.0, FilmGeometry(1e-5), bc),
+    "rod_transverse_modes": lambda bc: rod_transverse_modes(5e14, ROD, bc),
+    "rod_density": lambda bc: rod_density(5e14, 300.0, ROD, bc),
+    "rod_threshold_frequencies": lambda bc: rod_threshold_frequencies(ROD, bc, 5e14),
+    "rod_window_average": lambda bc: rod_window_average(5e14, 300.0, ROD, bc),
+    "enumerate_box_modes": lambda bc: enumerate_box_modes(BoxGeometry(1e-5, 2e-5, 3e-5),
+                                                          bc, 1e15),
+    "cube_binned_density": lambda bc: cube_binned_density(1e-5, bc, 300.0, 1e13, 1e15),
+}
+
+
+@pytest.mark.parametrize("bad", ["periodic", None], ids=["str", "None"])
+@pytest.mark.parametrize("name", sorted(BC_ENTRY_POINTS))
+def test_bc_must_be_a_boundary_condition(name, bad):
+    BC_ENTRY_POINTS[name](P)  # the same call with a member is accepted
+    with pytest.raises(TypeError, match="^bc must be a BoundaryCondition$"):
+        BC_ENTRY_POINTS[name](bad)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))

@@ -101,20 +101,12 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
         raise ResourceLimitError(required, max_lattice_points)
     k1, k2, k3 = (axis_wavenumbers(L, bc, m)[0] for L, (m, _) in zip(lengths, bounds))
     s_cap = (k_max * k_max) * (1.0 + 4e-16)  # superset; exact filter in omega below
-    collected = []
     with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
-        if k2.size * k3.size <= 5 * 10**7:
-            grid = (k2**2)[:, None] + (k3**2)[None, :]
-            grid = grid.ravel()
-            for a in k1 * k1:
-                s = a + grid
-                collected.append(s[s <= s_cap])
-        else:
-            for a in k1 * k1:
-                for b in k2 * k2:
-                    s = (a + b) + k3 * k3
-                    collected.append(s[s <= s_cap])
-    s = np.concatenate(collected) if collected else np.empty(0)
+        # cutting k2^2 + k3^2 first is exact: adding k1^2 >= 0 never lowers a float sum
+        s = (k2**2)[:, None] + (k3**2)[None, :]
+        s = s[s <= s_cap]
+        s = (k1 * k1)[:, None] + s[None, :]
+        s = s[s <= s_cap]
     s = s[s > 0.0]  # periodic zero mode carries no energy
     om = C_LIGHT * np.sqrt(s)
     om = om[om <= omega_max]
@@ -135,7 +127,7 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
     estimate = x_max * x_max / 8.0 + x_max  # zero-count estimate; may be inf
     if not estimate < max_lattice_points:
         raise ResourceLimitError(int(estimate) + 1 if math.isfinite(estimate) else estimate,
-                                 max_lattice_points)
+                                 max_lattice_points, "Bessel zeros")
     if x_max < math.pi:
         return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     table = build_bessel_zero_table(x_max)

@@ -14,7 +14,6 @@ refused rather than returning astronomically large floats).
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 import numpy as np
 
@@ -38,8 +37,8 @@ __all__ = [
 THRESHOLD_GUARD = 1e-9
 
 #: cap on the entries of one transverse k^2 table; more raises
-#: ResourceLimitError. At the cap a rod_density call takes ~2.2 s and ~1.0 GB
-#: peak RSS, rod_threshold_frequencies ~3.2 s and ~1.3 GB, on a 2-vCPU Xeon VM.
+#: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
+#: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
 MAX_ROD_TABLE = 5 * 10**7
 
 
@@ -95,16 +94,13 @@ def _k2_grid(geom, bc, m1, m2):
     return s, k1, k2, n1, n2
 
 
-@lru_cache(maxsize=32)
-def _k2_sorted_cached(geom, bc, m1, m2):
-    s = np.sort(_k2_grid(geom, bc, m1, m2)[0].ravel())
-    s.setflags(write=False)
-    return s
-
-
 def _transverse_k2(geom, bc, k_cap):
-    """Sorted transverse k^2 grid covering k_perp <= k_cap (cached)."""
-    return _k2_sorted_cached(geom, bc, *_rod_bounds(geom, bc, k_cap))
+    """Sorted transverse k^2 of the modes with k_perp <= k_cap, built per call."""
+    s = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_cap))[0]
+    # the box scan's margin; rebinding frees the full grid before the sort
+    s = s[s <= k_cap * k_cap * (1.0 + 4e-16)]
+    s.sort()
+    return s
 
 
 def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
@@ -163,7 +159,8 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
     and each sample sums its own prefix.
     """
     k = omega / C_LIGHT
-    s = _transverse_k2(geom, bc, max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9)))
+    k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
+    s = _transverse_k2(geom, bc, k_cap)
     k2 = k * k
     n = s.searchsorted(k2)  # admitted modes: s < k^2
     singular = {}
@@ -173,7 +170,7 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
         for i in (i1 > i0).nonzero()[0].tolist():
             k_perp = math.sqrt(s[i0[i]])
             singular[i] = ThresholdSingularityError(
-                float(omega[i]), *_mode_indices(geom, bc, k_perp), k_perp)
+                float(omega[i]), *_mode_indices(geom, bc, k_perp, k_cap), k_perp)
             n[i] = 0
     # ascending s = ascending term magnitude keeps each sum well conditioned
     totals = [float(np.sum(1.0 / np.sqrt(kk - s[:m]))) if m else 0.0
@@ -187,9 +184,10 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
     return values, singular
 
 
-def _mode_indices(geom, bc, k_perp):
+def _mode_indices(geom, bc, k_perp, k_cap):
     """Lattice indices (n1, n2) of the transverse mode at k_perp (error path only)."""
-    s, _, _, n1, n2 = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_perp * 1.001))
+    k_max = min(k_perp * 1.001, k_cap)  # within the table that found k_perp, so within its cap
+    s, _, _, n1, n2 = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_max))
     i, j = np.unravel_index(np.argmin(np.abs(s - k_perp**2)), s.shape)
     return int(n1[i]), int(n2[j])
 
@@ -200,10 +198,16 @@ def rod_threshold_frequencies(geom: RodGeometry, bc: BoundaryCondition, omega_ma
     The periodic (0, 0) mode is admitted from omega = 0+ and contributes no
     positive threshold.
     """
+    return _table_and_thresholds(geom, bc, omega_max)[1]
+
+
+def _table_and_thresholds(geom, bc, omega_max):
+    """The sorted transverse table up to omega_max/c and its distinct thresholds."""
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     s = _transverse_k2(geom, bc, omega_max / C_LIGHT)
-    w = C_LIGHT * np.sqrt(np.unique(s[s > 0.0]))
-    return w[w <= omega_max]
+    pos = s[s.searchsorted(0.0, side="right"):]  # sorted: distinct = unlike its left neighbour
+    w = C_LIGHT * np.sqrt(np.concatenate((pos[:1], pos[1:][pos[1:] != pos[:-1]])))
+    return s, w[w <= omega_max]
 
 
 def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
@@ -219,7 +223,7 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     omega = finite_real(omega, "omega must be finite and > 0")
     cap = 1.25
     while True:
-        thresholds = rod_threshold_frequencies(geom, bc, omega * cap)
+        s, thresholds = _table_and_thresholds(geom, bc, omega * cap)
         i = int(np.searchsorted(thresholds, omega, side="right"))
         if i == 0:
             raise ValueError("omega lies below the first transverse threshold")
@@ -230,9 +234,8 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
             raise ValueError("no transverse threshold found above omega")
     a = float(thresholds[i - 1])
     b = float(thresholds[i])
-    s = _transverse_k2(geom, bc, b / C_LIGHT)
     mid_all = 0.5 * (a + b)
-    s_adm = s[s < (mid_all / C_LIGHT) ** 2]
+    s_adm = s[:s.searchsorted((mid_all / C_LIGHT) ** 2)]  # the sorted entries below it
 
     def antiderivative(w):
         r = np.sqrt(np.maximum(w * w - C_LIGHT**2 * s_adm, 0.0))

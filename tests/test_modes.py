@@ -162,3 +162,22 @@ def test_sphere_count_near_weyl_leading_term():
     volume = 4.0 / 3.0 * math.pi * R**3
     leading = volume * omega_max**3 / (3.0 * math.pi**2 * C_LIGHT**3)
     assert abs(modes.total_mode_count / leading - 1.0) < 0.15
+
+
+def test_box_scan_with_no_admitted_cross_section_stays_small():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        modes = enumerate_box_modes(BoxGeometry(0.2, 1e-7, 1e-7), BoundaryCondition.DIRICHLET,
+                                    1e15)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(modes) == 0
+    assert peak < 8 * 10**6
+
+
+def test_sphere_refusal_counts_bessel_zeros():
+    with pytest.raises(ResourceLimitError, match="Bessel zeros"):
+        enumerate_sphere_modes(SphereGeometry(1e-2), 1e16)

@@ -329,3 +329,62 @@ def test_rod_table_cap_is_on_the_table_size():
     with pytest.raises(ResourceLimitError, match="transverse modes"):
         _rod_bounds(RodGeometry(1.0, side * 1.01), BoundaryCondition.DIRICHLET, k)
     _rod_bounds(RodGeometry(1.0, side * 0.99), BoundaryCondition.DIRICHLET, k)
+
+
+def test_rod_tables_are_not_kept_between_calls():
+    import tracemalloc
+
+    rod = RodGeometry(1e-3, 1e-3)
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        for w in np.linspace(1e13, 1e15, 40).tolist():
+            try:
+                rod_density(w, 300.0, rod, BoundaryCondition.PERIODIC)
+            except ThresholdSingularityError:
+                pass
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 10**6
+
+
+@pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (2e-5, 1.5e-5)])
+@pytest.mark.parametrize("bc", BCS)
+def test_rod_thresholds_equal_unique_over_the_full_rectangle(lengths, bc):
+    from cavityrad.slab_rod import _k2_grid, _rod_bounds
+
+    def unique_thresholds(omega_max):
+        s = _k2_grid(rod, bc, *_rod_bounds(rod, bc, omega_max / C_LIGHT))[0]
+        w = C_LIGHT * np.sqrt(np.unique(s[s > 0.0]))
+        return w[w <= omega_max]
+
+    rod = RodGeometry(*lengths)
+    # a cutoff that is itself a threshold puts the last table entry at the cut
+    on_threshold = unique_thresholds(1e15)[::7].tolist()
+    for omega_max in [3e14, 1e15, *on_threshold]:
+        expected = unique_thresholds(omega_max)
+        assert np.array_equal(rod_threshold_frequencies(rod, bc, omega_max), expected)
+
+
+def test_singular_sample_at_the_cap_edge_names_its_mode(monkeypatch):
+    # the sample's own table has 83 x 83 = 6889 entries; naming the mode must
+    # not build a larger label grid and turn the refusal into a cap error
+    import cavityrad.slab_rod as slab_rod
+
+    L = 2e-5
+    omega = 2.0 * math.pi * C_LIGHT * math.sqrt(1597.0) / L  # on mode (34, 21)
+    monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", 6889)
+    with pytest.raises(ThresholdSingularityError) as err:
+        rod_density(omega, 300.0, RodGeometry(L, L), BoundaryCondition.PERIODIC)
+    n1, n2 = err.value.mode
+    assert n1 * n1 + n2 * n2 == 1597
+    monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", 6888)
+    with pytest.raises(ResourceLimitError, match="transverse modes"):
+        rod_density(omega, 300.0, RodGeometry(L, L), BoundaryCondition.PERIODIC)
+
+
+def test_rod_window_average_refuses_a_window_beyond_the_float_range():
+    # omega itself is finite, but the first search window omega*1.25 is not
+    with pytest.raises(ValueError, match="omega_max must be finite and > 0"):
+        rod_window_average(1.7e308, 300.0, RodGeometry(1e-3, 5e-4), BoundaryCondition.PERIODIC)

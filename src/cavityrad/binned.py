@@ -22,7 +22,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import BoundaryCondition, GeometryDescriptors, axis_wavenumbers, quantization
+from .geometry import (CUT_MARGIN, BoundaryCondition, GeometryDescriptors, axis_wavenumbers,
+                       disc_sums, quantization)
 from .modes import ModeList
 from .planck import mean_oscillator_energy
 from .validate import finite_real
@@ -34,7 +35,7 @@ __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_dens
 MAX_BINS = 10**7
 
 #: cap on the integer norms m_max of one cube spectrum; more raises
-#: ResourceLimitError. At the cap one spectrum takes ~6 s and ~0.95 GB peak RSS
+#: ResourceLimitError. At the cap one spectrum takes ~5 s and ~0.85 GB peak RSS
 #: on a 2-vCPU Xeon VM.
 MAX_CUBE_NORMS = 10**7
 
@@ -82,12 +83,9 @@ def _bin_layout(omega_max, delta_omega, volume):
 
 def _bin(omegas, multiplicities, T, delta_omega, volume, layout):
     n_bins, partial = layout
-    if len(omegas) == 0:
-        u = np.zeros(n_bins)
-    else:
-        idx = np.minimum((omegas / delta_omega).astype(np.int64), n_bins - 1)
-        energy = multiplicities * mean_oscillator_energy(omegas, T)
-        u = np.bincount(idx, weights=energy, minlength=n_bins) / (volume * delta_omega)
+    idx = np.minimum((omegas / delta_omega).astype(np.int64), n_bins - 1)
+    energy = multiplicities * mean_oscillator_energy(omegas, T)
+    u = np.bincount(idx, weights=energy, minlength=n_bins) / (volume * delta_omega)
     return BinnedSpectrum(
         delta_omega=float(delta_omega),
         omega_left=np.arange(n_bins) * float(delta_omega),
@@ -129,18 +127,19 @@ def _round_counts(raw):
     return counts
 
 
-def _exact_counts_by_convolution(r1, m_max):
+def _exact_counts_by_convolution(j, m_max):
     """r3[m] = number of lattice triples with component-square sum m <= m_max.
 
-    r1 is the 1-D component histogram. Linear convolutions are done by FFT
-    with intermediate truncation at m_max (indices are nonnegative, so larger
-    intermediates cannot feed back below m_max); results are integers and are
-    checked to be safely round-trippable before rounding.
+    j holds the integer labels of one axis. The one- and two-axis counts r1
+    and r2 are exact histograms of the lattice sums; r3 is their linear
+    convolution by FFT, truncated at m_max (indices are nonnegative, so larger
+    sums cannot feed back below m_max), and is checked to be safely
+    round-trippable before rounding.
     """
+    r1 = np.bincount(disc_sums([j], m_max))
+    r2 = np.bincount(disc_sums([j, j], m_max))
     n = _fast_len(2 * m_max + 1)
-    f1 = np.fft.rfft(r1, n)
-    r2 = _round_counts(np.fft.irfft(f1 * f1, n)[: m_max + 1])
-    r3 = _round_counts(np.fft.irfft(np.fft.rfft(r2, n) * f1, n)[: m_max + 1])
+    r3 = _round_counts(np.fft.irfft(np.fft.rfft(r2, n) * np.fft.rfft(r1, n), n)[: m_max + 1])
     return r3.astype(np.int64)
 
 
@@ -151,14 +150,13 @@ def _norm_bound(omega_max, unit):
     array is refused before an int or an array of that size exists.
     """
     q = omega_max / unit
-    m = q**2 * (1.0 + 4e-16) if q < 1e100 else math.inf  # float ** raises on overflow
+    m = q**2 * CUT_MARGIN if q < 1e100 else math.inf  # float ** raises on overflow
     if not m <= MAX_CUBE_NORMS:
         raise ResourceLimitError(m, MAX_CUBE_NORMS, "integer norms")
     return int(m)
 
 
-def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max,
-                        volume=None):
+def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     """Binned spectrum of a cube via exact integer-lattice multiplicities.
 
     For a cube the eigenfrequencies are sqrt(integer) times a fixed unit, so
@@ -172,17 +170,14 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max,
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     period, offset, _ = quantization(bc)
-    if volume is None:  # past 1e100 the norm cap refuses; float ** raises on overflow
-        volume = side**3 if side < 1e100 else math.inf
+    volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)
     # k = period*(n + offset)/side = (unit/c)*j with the integer j = scale*(n + offset)
     scale = 2 if offset else 1
     unit = period / scale * C_LIGHT / side
     m_max = _norm_bound(omega_max, unit)
     _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
-    j2 = (scale * n + int(scale * offset)) ** 2
-    r1 = np.bincount(j2[j2 <= m_max], minlength=m_max + 1).astype(float)
-    r3 = _exact_counts_by_convolution(r1, m_max)
+    r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
     m = np.flatnonzero(r3)
     m = m[m > 0]                                       # periodic zero mode excluded
     om = unit * np.sqrt(m.astype(float))

@@ -29,7 +29,7 @@ from .binned import _bin_count, binned_density, cube_binned_density, weyl_densit
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
-from .io import modes_csv_lines, spectrum_csv_lines, write_csv, write_json
+from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .modes import enumerate_box_modes, enumerate_sphere_modes
 from .planck import planck_density
 from .slab_rod import _rod_density_grid, film_density
@@ -216,7 +216,7 @@ def compute(cfg):
         if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
             # a cube's frequencies are sqrt(integer norms): no lattice scan needed
             spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
-                                       cfg.omega_max, volume=geom.volume)
+                                       cfg.omega_max)
         else:
             spec = binned_density(_mode_list(cfg, geom), cfg.temperature, cfg.delta_omega,
                                   geom.volume)
@@ -254,11 +254,8 @@ def _emit(cfg, command, series):
             ],
             "warnings": list(cfg.warnings),
         }
-        if cfg.output == "-":
-            import json
-            sys.stdout.write(json.dumps(payload, indent=2) + "\n")
-        else:
-            write_json(cfg.output, payload)
+        import json
+        _write_lines(cfg.output, [json.dumps(payload, indent=2)])
     for w in cfg.warnings:
         print("warning: %s" % w, file=sys.stderr)
 

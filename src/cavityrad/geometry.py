@@ -8,12 +8,15 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .validate import finite_real
 
 __all__ = [
     "BoundaryCondition",
     "quantization",
-    "axis_bound",
+    "CUT_MARGIN",
+    "lattice_axes",
+    "disc_sums",
     "axis_wavenumbers",
     "FilmGeometry",
     "RodGeometry",
@@ -48,18 +51,29 @@ def quantization(bc):
     return _RULES[bc]
 
 
-def axis_bound(L, bc, k_max):
-    """Label bound m of one axis covering |k| <= k_max, and the axis size.
+#: relative margin of every cut on k^2 or on an integer norm: the cut keeps a
+#: superset, and the exact filter runs on omega after the square root
+CUT_MARGIN = 1.0 + 4e-16
 
-    The axis holds the labels with |n + offset| <= m (two-sided) or 1 <= n <= m.
-    Both are floats, so a cutoff too large for any array yields a huge or
-    infinite size to refuse instead of an overflow.
+
+def lattice_axes(lengths, bc, k_cap, cap, what):
+    """axis_wavenumbers of each axis of a box covering |k_i| <= k_cap.
+
+    Axis i holds the labels with |n + offset| <= m_i (two-sided) or
+    1 <= n <= m_i. The bounding box's points are counted in floats and
+    compared with cap, so a cutoff too large for any array raises
+    ResourceLimitError(required, cap, what) before an int or an array exists.
     """
     period, offset, two_sided = quantization(bc)
-    m = float(np.ceil(k_max * L / period + offset)) + 1.0
-    if not two_sided:
-        return m, m
-    return m, 2.0 * m + (1.0 if offset == 0.0 else 0.0)  # n = 0 has no mirror at offset 0
+    bounds = [float(np.ceil(k_cap * L / period + offset)) + 1.0 for L in lengths]
+    if two_sided:  # n = 0 has no mirror at offset 0
+        sizes = [2.0 * m + (1.0 if offset == 0.0 else 0.0) for m in bounds]
+    else:
+        sizes = bounds
+    required = math.prod(sizes)
+    if not required <= cap:
+        raise ResourceLimitError(required, cap, what)
+    return [axis_wavenumbers(L, bc, m) for L, m in zip(lengths, bounds)]
 
 
 def axis_wavenumbers(L, bc, m):
@@ -71,6 +85,23 @@ def axis_wavenumbers(L, bc, m):
     else:
         n = np.arange(-m, m + 1 if offset == 0.0 else m)
     return period * (n + offset) / L, n
+
+
+def disc_sums(axes, cap):
+    """Every sum k_1^2 + ... + k_d^2 <= cap over the axes, in row-major order.
+
+    The last axis is cut first, then each earlier axis is added as one
+    broadcast and the sums cut again; each cut is exact, because adding a
+    square >= 0 never lowers a float sum. The association is
+    k_1^2 + (k_2^2 + k_3^2). Works on float wavenumbers and integer labels.
+    """
+    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
+        s = axes[-1] ** 2
+        s = s[s <= cap]
+        for k in axes[-2::-1]:
+            s = (k**2)[:, None] + s[None, :]
+            s = s[s <= cap]
+    return s
 
 
 def _require_positive(geom, *names):

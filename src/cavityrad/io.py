@@ -8,10 +8,7 @@ singular sample points) are an empty CSV field and a JSON null.
 
 from __future__ import annotations
 
-import json
-
-__all__ = ["format_value", "write_csv", "write_json", "modes_csv_lines",
-           "spectrum_csv_lines"]
+__all__ = ["format_value", "write_csv", "modes_csv_lines", "spectrum_csv_lines"]
 
 
 def format_value(x):
@@ -44,9 +41,3 @@ def modes_csv_lines(modes):
 def write_csv(path, lines):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def write_json(path, payload):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")

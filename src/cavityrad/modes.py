@@ -21,8 +21,8 @@ import numpy as np
 from .bessel import build_bessel_zero_table
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
-from .geometry import (BoundaryCondition, BoxGeometry, SphereGeometry, axis_bound,
-                       axis_wavenumbers)
+from .geometry import (CUT_MARGIN, BoundaryCondition, BoxGeometry, SphereGeometry,
+                       disc_sums, lattice_axes)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -94,19 +94,10 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     k_max = omega_max / C_LIGHT
-    lengths = (geom.L1, geom.L2, geom.L3)
-    bounds = [axis_bound(L, bc, k_max) for L in lengths]
-    required = math.prod(size for _, size in bounds)
-    if required > max_lattice_points:  # checked before any axis is allocated
-        raise ResourceLimitError(required, max_lattice_points)
-    k1, k2, k3 = (axis_wavenumbers(L, bc, m)[0] for L, (m, _) in zip(lengths, bounds))
-    s_cap = (k_max * k_max) * (1.0 + 4e-16)  # superset; exact filter in omega below
-    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
-        # cutting k2^2 + k3^2 first is exact: adding k1^2 >= 0 never lowers a float sum
-        s = (k2**2)[:, None] + (k3**2)[None, :]
-        s = s[s <= s_cap]
-        s = (k1 * k1)[:, None] + s[None, :]
-        s = s[s <= s_cap]
+    axes = lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, max_lattice_points,
+                        "lattice points")
+    s_cap = (k_max * k_max) * CUT_MARGIN  # superset; exact filter in omega below
+    s = disc_sums([k for k, _ in axes], s_cap)
     s = s[s > 0.0]  # periodic zero mode carries no energy
     om = C_LIGHT * np.sqrt(s)
     om = om[om <= omega_max]
@@ -133,13 +124,9 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
     table = build_bessel_zero_table(x_max)
     omegas, weights = [], []
     for l, zeros in enumerate(table.zeros_by_l):
-        if zeros.size == 0:
-            continue
         om = C_LIGHT * zeros / radius
         om = om[om <= omega_max]
         omegas.append(om)
         weights.append(np.full(om.size, 2 * (2 * l + 1), dtype=np.int64))
-    if not omegas:
-        return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     om_u, counts = _merge_weighted(np.concatenate(omegas), np.concatenate(weights))
     return ModeList(om_u, counts, omega_max)

@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ResourceLimitError, ThresholdSingularityError
-from .geometry import (BoundaryCondition, FilmGeometry, RodGeometry, axis_bound,
-                       axis_wavenumbers, quantization)
+from .errors import ThresholdSingularityError
+from .geometry import (CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
+                       disc_sums, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -73,22 +73,14 @@ def film_density(omega, T, geom: FilmGeometry, bc: BoundaryCondition):
     return float(out) if out.ndim == 0 else out
 
 
-def _rod_bounds(geom, bc, k_cap):
-    """Label bounds (m1, m2) of the transverse table covering k_perp <= k_cap.
-
-    The table's size is compared with MAX_ROD_TABLE as a float, before any int
-    or array of that size exists.
-    """
-    (m1, size1), (m2, size2) = axis_bound(geom.L1, bc, k_cap), axis_bound(geom.L2, bc, k_cap)
-    if not size1 * size2 <= MAX_ROD_TABLE:
-        raise ResourceLimitError(size1 * size2, MAX_ROD_TABLE, "transverse modes")
-    return int(m1), int(m2)
+def _rod_axes(geom, bc, k_cap):
+    """The two transverse axes covering k_perp <= k_cap, within MAX_ROD_TABLE."""
+    return lattice_axes((geom.L1, geom.L2), bc, k_cap, MAX_ROD_TABLE, "transverse modes")
 
 
-def _k2_grid(geom, bc, m1, m2):
-    """Axis wavenumbers, their labels and the k1^2 + k2^2 grid for bounds m1, m2."""
-    k1, n1 = axis_wavenumbers(geom.L1, bc, m1)
-    k2, n2 = axis_wavenumbers(geom.L2, bc, m2)
+def _k2_grid(axes):
+    """Axis wavenumbers, their labels and the full k1^2 + k2^2 rectangle."""
+    (k1, n1), (k2, n2) = axes
     with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
         s = (k1**2)[:, None] + (k2**2)[None, :]
     return s, k1, k2, n1, n2
@@ -96,9 +88,7 @@ def _k2_grid(geom, bc, m1, m2):
 
 def _transverse_k2(geom, bc, k_cap):
     """Sorted transverse k^2 of the modes with k_perp <= k_cap, built per call."""
-    s = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_cap))[0]
-    # the box scan's margin; rebinding frees the full grid before the sort
-    s = s[s <= k_cap * k_cap * (1.0 + 4e-16)]
+    s = disc_sums([k for k, _ in _rod_axes(geom, bc, k_cap)], k_cap * k_cap * CUT_MARGIN)
     s.sort()
     return s
 
@@ -111,7 +101,7 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     k = omega / C_LIGHT
-    s, k1, k2, _, _ = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k))
+    s, k1, k2, _, _ = _k2_grid(_rod_axes(geom, bc, k))
     i1, i2 = np.nonzero(s < k * k)
     pairs = np.column_stack([k1[i1], k2[i2]])
     order = np.lexsort((pairs[:, 1], pairs[:, 0], pairs[:, 0] ** 2 + pairs[:, 1] ** 2))
@@ -172,9 +162,13 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
             singular[i] = ThresholdSingularityError(
                 float(omega[i]), *_mode_indices(geom, bc, k_perp, k_cap), k_perp)
             n[i] = 0
-    # ascending s = ascending term magnitude keeps each sum well conditioned
-    totals = [float(np.sum(1.0 / np.sqrt(kk - s[:m]))) if m else 0.0
-              for kk, m in zip(k2.tolist(), n.tolist())]
+    # ascending s = ascending term magnitude keeps each sum well conditioned;
+    # each sample's terms live in one buffer, so the sum adds no peak memory
+    totals = []
+    for kk, m in zip(k2.tolist(), n.tolist()):
+        t = np.subtract(kk, s[:m])
+        np.sqrt(t, out=t)
+        totals.append(float(np.sum(np.divide(1.0, t, out=t))))
     pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
         math.pi * C_LIGHT**2 * geom.L1 * geom.L2
     )
@@ -187,7 +181,7 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
 def _mode_indices(geom, bc, k_perp, k_cap):
     """Lattice indices (n1, n2) of the transverse mode at k_perp (error path only)."""
     k_max = min(k_perp * 1.001, k_cap)  # within the table that found k_perp, so within its cap
-    s, _, _, n1, n2 = _k2_grid(geom, bc, *_rod_bounds(geom, bc, k_max))
+    s, _, _, n1, n2 = _k2_grid(_rod_axes(geom, bc, k_max))
     i, j = np.unravel_index(np.argmin(np.abs(s - k_perp**2)), s.shape)
     return int(n1[i]), int(n2[j])
 

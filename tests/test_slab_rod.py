@@ -319,16 +319,38 @@ def test_rod_table_over_cap_refused_before_allocation(name):
 
 
 def test_rod_table_cap_is_on_the_table_size():
-    from cavityrad.slab_rod import MAX_ROD_TABLE, _rod_bounds
+    from cavityrad.slab_rod import MAX_ROD_TABLE, _rod_axes
 
-    # Dirichlet axes hold m labels; m = ceil(k L/pi) + 1
+    # Dirichlet axes hold the labels 1..m; m = ceil(k L/pi) + 1
     k = 999.5 * math.pi
-    m1, m2 = _rod_bounds(RodGeometry(1.0, 1.0), BoundaryCondition.DIRICHLET, k)
+    (_, n1), (_, n2) = _rod_axes(RodGeometry(1.0, 1.0), BoundaryCondition.DIRICHLET, k)
+    m1, m2 = int(n1[-1]), int(n2[-1])
     assert m1 == m2 == 1001 and m1 * m2 <= MAX_ROD_TABLE
     side = (MAX_ROD_TABLE / 1001.0 - 1.0) * math.pi / k  # one axis past the cap
     with pytest.raises(ResourceLimitError, match="transverse modes"):
-        _rod_bounds(RodGeometry(1.0, side * 1.01), BoundaryCondition.DIRICHLET, k)
-    _rod_bounds(RodGeometry(1.0, side * 0.99), BoundaryCondition.DIRICHLET, k)
+        _rod_axes(RodGeometry(1.0, side * 1.01), BoundaryCondition.DIRICHLET, k)
+    _rod_axes(RodGeometry(1.0, side * 0.99), BoundaryCondition.DIRICHLET, k)
+
+
+def test_rod_sum_adds_no_peak_memory_to_the_table():
+    import tracemalloc
+
+    from cavityrad.slab_rod import THRESHOLD_GUARD, _transverse_k2
+
+    rod, bc, omega = RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC, 1.00001e15
+
+    def peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the table rod_density builds: its cutoff is padded by the guard window
+    table = peak(lambda: _transverse_k2(rod, bc, omega / C_LIGHT * (1.0 + 4.0 * THRESHOLD_GUARD)))
+    assert table > 10**7
+    assert peak(lambda: rod_density(omega, 300.0, rod, bc)) <= 1.05 * table
 
 
 def test_rod_tables_are_not_kept_between_calls():
@@ -352,10 +374,10 @@ def test_rod_tables_are_not_kept_between_calls():
 @pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (2e-5, 1.5e-5)])
 @pytest.mark.parametrize("bc", BCS)
 def test_rod_thresholds_equal_unique_over_the_full_rectangle(lengths, bc):
-    from cavityrad.slab_rod import _k2_grid, _rod_bounds
+    from cavityrad.slab_rod import _k2_grid, _rod_axes
 
     def unique_thresholds(omega_max):
-        s = _k2_grid(rod, bc, *_rod_bounds(rod, bc, omega_max / C_LIGHT))[0]
+        s = _k2_grid(_rod_axes(rod, bc, omega_max / C_LIGHT))[0]
         w = C_LIGHT * np.sqrt(np.unique(s[s > 0.0]))
         return w[w <= omega_max]
 

@@ -77,7 +77,8 @@ def _bin_count(omega_max, delta_omega):
 def _bin_layout(omega_max, delta_omega, volume):
     """Checked bin count and partial flag, before any mode or bin array exists."""
     if not (delta_omega > 0 and volume > 0):
-        raise ValueError("delta_omega and volume must be > 0")
+        raise ValueError("delta_omega and volume must be > 0, got delta_omega=%r, "
+                         "volume=%r" % (delta_omega, volume))
     return _bin_count(omega_max, delta_omega)
 
 

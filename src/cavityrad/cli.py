@@ -18,10 +18,9 @@ numerical kernels are sequential, so any legal value is honoured.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,6 +32,7 @@ from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .modes import enumerate_box_modes, enumerate_sphere_modes
 from .planck import planck_density
 from .slab_rod import _rod_density_grid, film_density
+from .validate import finite_real
 
 __all__ = ["main", "run_spectrum", "run_modes", "run_figures"]
 
@@ -49,21 +49,22 @@ def _floats(text):
     return tuple(float(p) for p in text.split(","))
 
 
-# run keys -> converter; flags, --config lines and preset sections share them
-_KEYSPEC = {
-    "geometry": str,
-    "bc": str,
-    "length": _floats,
-    "lengths": _floats,
-    "diameter": _floats,
-    "temperature": float,
-    "omega-min": float,
-    "omega-max": float,
-    "samples": int,
-    "delta-omega": float,
-    "compare": str,
-    "format": str,
-    "output": str,
+# run key -> (converter, default, flag help); flags, --config lines and preset
+# sections share it. The order is the --help order, and modes takes the first 8.
+_KEYS = {
+    "geometry": (str, None, None),
+    "bc": (str, None, None),
+    "length": (_floats, None, "film plate separation, m"),
+    "lengths": (_floats, None, "comma separated lengths, m"),
+    "diameter": (_floats, None, "sphere diameter, m"),
+    "temperature": (float, None, "temperature, K"),
+    "omega-max": (float, None, "cutoff, rad/s"),
+    "output": (str, "-", "output path; '-' is stdout (default)"),
+    "omega-min": (float, 0.0, "grid start, rad/s (default 0)"),
+    "samples": (int, 1000, "grid size for film/rod (default 1000)"),
+    "delta-omega": (float, 1e13, "bin width for box/sphere, rad/s (default 1e13)"),
+    "compare": (str, "", "comma subset of planck,weyl"),
+    "format": (str, "csv", "csv (default) or json"),
 }
 
 # geometry -> (class, run key of its lengths, number of lengths)
@@ -73,10 +74,6 @@ _GEOMETRIES = {
     "box": (BoxGeometry, "lengths", 3),
     "sphere": (SphereGeometry, "diameter", 1),
 }
-
-# values of the run keys that no flag, --config line or preset section sets
-_DEFAULTS = {"omega-min": 0.0, "samples": 1000, "delta-omega": 1e13, "format": "csv",
-             "output": "-"}
 
 
 @dataclass
@@ -93,7 +90,6 @@ class RunConfig:
     compare: tuple
     fmt: str
     output: str
-    warnings: list = field(default_factory=list)
 
     def echo(self):
         cfg = {
@@ -116,57 +112,48 @@ class RunConfig:
         return cfg
 
 
-def _run_keys(pairs):
-    """Checked and converted run keys from (key, text) pairs; a later pair wins."""
-    values = {}
+def _build_config(pairs):
+    """RunConfig of (run key, text) pairs; a later pair wins, unset keys take defaults."""
+    v = {key: default for key, (_, default, _) in _KEYS.items()}
     for key, text in pairs:
-        if key not in _KEYSPEC:
+        if key not in _KEYS:
             raise UsageError("unknown config key %r" % key)
         try:
-            values[key] = _KEYSPEC[key](text)
+            v[key] = _KEYS[key][0](text)
         except ValueError:
             raise UsageError("bad --%s value %r" % (key, text)) from None
-    return values
-
-
-def _build_config(values):
-    """RunConfig of a mapping of run keys; unset keys take their defaults."""
-    v = {**_DEFAULTS, **values}
-    geometry = v.get("geometry")
+    geometry = v["geometry"]
     if geometry is None:
         raise UsageError("--geometry is required")
     if geometry not in _GEOMETRIES:
         raise UsageError("--geometry must be film, rod, box or sphere")
     if geometry == "sphere":
-        if v.get("bc") not in (None, "dirichlet"):
+        if v["bc"] not in (None, "dirichlet"):
             raise UsageError("a sphere admits only the dirichlet boundary condition")
         bc = BoundaryCondition.DIRICHLET
     else:
-        if v.get("bc") is None:
+        if v["bc"] is None:
             raise UsageError("--bc is required for %s" % geometry)
         try:
             bc = BoundaryCondition(v["bc"])
         except ValueError:
             raise UsageError("--bc must be periodic, antiperiodic or dirichlet") from None
     cls, key, count = _GEOMETRIES[geometry]
-    lengths = v.get(key)
+    lengths = v[key]
     if lengths is None:
         raise UsageError("%s needs --%s" % (geometry, key))
     if len(lengths) != count:
         raise UsageError("--%s needs %d comma-separated value(s) here" % (key, count))
     geom = cls(*lengths)
-    temperature, omega_max = v.get("temperature"), v.get("omega-max")
-    if temperature is None or not (temperature > 0 and math.isfinite(temperature)):
-        raise UsageError("--temperature must be a positive number of kelvin")
-    if omega_max is None or not (omega_max > 0 and math.isfinite(omega_max)):
-        raise UsageError("--omega-max must be > 0")
+    temperature = finite_real(v["temperature"],
+                              "--temperature must be a positive number of kelvin")
+    omega_max = finite_real(v["omega-max"], "--omega-max must be > 0")
     if not (0.0 <= v["omega-min"] < omega_max):
         raise UsageError("need 0 <= --omega-min < --omega-max")
     if v["samples"] < 2:
         raise UsageError("--samples must be >= 2")
-    if not (v["delta-omega"] > 0 and math.isfinite(v["delta-omega"])):
-        raise UsageError("--delta-omega must be > 0")
-    compare = tuple(p for p in v.get("compare", "").split(",") if p)
+    delta_omega = finite_real(v["delta-omega"], "--delta-omega must be > 0")
+    compare = tuple(p for p in v["compare"].split(",") if p)
     for c in compare:
         if c not in ("planck", "weyl"):
             raise UsageError("--compare entries must be planck or weyl")
@@ -177,7 +164,7 @@ def _build_config(values):
     return RunConfig(
         geometry=geometry, bc=bc, lengths=lengths, geom=geom, temperature=temperature,
         omega_min=v["omega-min"], omega_max=omega_max, samples=v["samples"],
-        delta_omega=v["delta-omega"], compare=compare, fmt=v["format"],
+        delta_omega=delta_omega, compare=compare, fmt=v["format"],
         output=v["output"] or "-",
     )
 
@@ -189,14 +176,23 @@ def _mode_list(cfg, geom):
 
 
 def compute(cfg):
-    """The series of a spectrum run and the grid its comparison columns use.
+    """The series of a spectrum run, the grid its comparison columns use, warnings.
 
     Each series is (name, omega, values): the spectrum first, sampled on the
     film or rod grid or binned for a box or sphere, then one column per
     --compare entry, evaluated on the grid that is returned: the samples, or
-    the bin centers of a binned run.
+    the bin centers of a binned run. Each warning names a threshold-singular
+    rod sample, whose value is None.
     """
-    geom = cfg.geom
+    geom, warnings = cfg.geom, []
+    if cfg.geometry != "film":  # the density divides by a rod area or a volume
+        what = "rod area" if cfg.geometry == "rod" else cfg.geometry + " volume"
+        try:
+            measure = geom.L1 * geom.L2 if cfg.geometry == "rod" else geom.volume
+        except OverflowError:  # a sphere's radius**3
+            measure = None
+        finite_real(measure, "the %s from --%s is 0 or too large for a float"
+                    % (what, _GEOMETRIES[cfg.geometry][1]))
     if cfg.geometry in ("film", "rod"):
         if cfg.samples > MAX_SAMPLES:
             raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
@@ -207,7 +203,7 @@ def compute(cfg):
             densities, singular = _rod_density_grid(grid, cfg.temperature, geom, cfg.bc)
             values = [None if i in singular else float(v) for i, v in enumerate(densities)]
             for i, exc in singular.items():
-                cfg.warnings.append(
+                warnings.append(
                     "singular sample skipped at omega=%r: transverse mode "
                     "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
                 )
@@ -229,7 +225,7 @@ def compute(cfg):
         desc = descriptors_for(geom)
         series.append(("weyl", grid,
                        [float(v) for v in weyl_density(grid, cfg.temperature, desc)]))
-    return series, grid
+    return series, grid, warnings
 
 
 def _csv_lines(cfg, series):
@@ -242,7 +238,7 @@ def _csv_lines(cfg, series):
     return spectrum_csv_lines(header, columns)
 
 
-def _emit(cfg, command, series):
+def _emit(cfg, command, series, warnings):
     if cfg.fmt == "csv":
         _write_lines(cfg.output, _csv_lines(cfg, series))
     else:
@@ -252,11 +248,11 @@ def _emit(cfg, command, series):
                 {"name": name, "omega": [float(w) for w in omega], "values": values}
                 for name, omega, values in series
             ],
-            "warnings": list(cfg.warnings),
+            "warnings": warnings,
         }
         import json
         _write_lines(cfg.output, [json.dumps(payload, indent=2)])
-    for w in cfg.warnings:
+    for w in warnings:
         print("warning: %s" % w, file=sys.stderr)
 
 
@@ -269,14 +265,18 @@ def _write_lines(output, lines):
 
 def _args_config(ns):
     """RunConfig of a spectrum or modes command line; flags win over --config lines."""
-    pairs = _config_lines(ns.config) if getattr(ns, "config", None) else []
-    pairs += [(key, getattr(ns, key.replace("-", "_"), None)) for key in _KEYSPEC]
-    return _build_config(_run_keys((key, text) for key, text in pairs if text is not None))
+    pairs = []
+    if getattr(ns, "config", None):
+        with open(ns.config, "r", encoding="utf-8") as fh:
+            pairs = _config_lines(fh.read())
+    pairs += [(key, getattr(ns, key.replace("-", "_"), None)) for key in _KEYS]
+    return _build_config((key, text) for key, text in pairs if text is not None)
 
 
 def run_spectrum(ns):
     cfg = _args_config(ns)
-    _emit(cfg, "spectrum", compute(cfg)[0])
+    series, _, warnings = compute(cfg)
+    _emit(cfg, "spectrum", series, warnings)
     return 0
 
 
@@ -305,38 +305,23 @@ def run_figures(ns):
     return 0
 
 
-def _add_run_flags(p, include_sampling=True):
-    # every value stays text here; _run_keys converts flags and --config lines alike
-    p.add_argument("--geometry")
-    p.add_argument("--bc")
-    p.add_argument("--length", help="film plate separation, m")
-    p.add_argument("--lengths", help="comma separated lengths, m")
-    p.add_argument("--diameter", help="sphere diameter, m")
-    p.add_argument("--temperature", help="temperature, K")
-    p.add_argument("--omega-max", help="cutoff, rad/s")
-    p.add_argument("--output", help="output path; '-' is stdout (default)")
-    if include_sampling:
-        p.add_argument("--omega-min", help="grid start, rad/s (default 0)")
-        p.add_argument("--samples", help="grid size for film/rod (default 1000)")
-        p.add_argument("--delta-omega", help="bin width for box/sphere, rad/s (default 1e13)")
-        p.add_argument("--compare", help="comma subset of planck,weyl")
-        p.add_argument("--format", help="csv (default) or json")
-        p.add_argument("--config",
-                       help="key=value file with the same keys as the flags; flags win")
+def _add_run_flags(p, keys):
+    # every value stays text here; _build_config converts flags and --config lines alike
+    for key in keys:
+        p.add_argument("--" + key, help=_KEYS[key][2])
 
 
-def _config_lines(path):
-    """(key, text) pairs of a key=value file; '#' starts a comment."""
+def _config_lines(text):
+    """(key, text) pairs of key=value lines; '#' starts a comment."""
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for raw in fh:
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise UsageError("config line without '=': %r" % raw.strip())
-            key, _, val = line.partition("=")
-            pairs.append((key.strip(), val.strip()))
+    for raw in text.split("\n"):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise UsageError("config line without '=': %r" % raw.strip())
+        key, _, val = line.partition("=")
+        pairs.append((key.strip(), val.strip()))
     return pairs
 
 
@@ -360,10 +345,12 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
     ps = sub.add_parser("spectrum", help="sample or bin a spectral energy density")
-    _add_run_flags(ps)
+    _add_run_flags(ps, _KEYS)
+    ps.add_argument("--config",
+                    help="key=value file with the same keys as the flags; flags win")
     ps.set_defaults(fn=run_spectrum)
     pm = sub.add_parser("modes", help="dump the discrete mode list of a closed cavity")
-    _add_run_flags(pm, include_sampling=False)
+    _add_run_flags(pm, list(_KEYS)[:8])
     pm.set_defaults(fn=run_modes)
     pf = sub.add_parser("figures", help="regenerate the preset figure data sets")
     pf.add_argument("figure", type=int)

@@ -1,19 +1,18 @@
 """Figure preset runner: regenerates the bundled data-set grids.
 
-Presets live in cavityrad/presets/fig<N>.cfg as plain key=value sections so
-the parameter grids are auditable data rather than code. Every curve becomes
-one CSV named fig<N>_<panel>_<curve>.csv; panels flagged with
-planck-reference additionally get a fig<N>_<panel>_planck.csv smooth
-reference on the panel's frequency grid.
+Presets live in cavityrad/presets/fig<N>.cfg, so the grids are data: a [DEFAULT]
+section and one section per curve, whose keys win, each read as a --config file.
+Every curve becomes one CSV named fig<N>_<panel>_<curve>.csv; panels with
+planck-reference = yes also get a fig<N>_<panel>_planck.csv reference.
 """
 
 from __future__ import annotations
 
-import configparser
 import os
+import re
 from importlib import resources
 
-from .cli import _build_config, _csv_lines, _run_keys, compute
+from .cli import UsageError, _build_config, _config_lines, _emit, compute
 from .io import spectrum_csv_lines, write_csv
 from .planck import planck_density
 
@@ -24,28 +23,31 @@ _PRESET_KEYS = ("panel", "curve", "planck-reference")
 
 
 def _load_preset(fig_id):
-    cp = configparser.ConfigParser()
+    """{curve section name: its keys laid over [DEFAULT]} of a figure preset."""
     text = resources.files("cavityrad").joinpath("presets/fig%d.cfg" % fig_id).read_text()
-    cp.read_string(text)
-    return cp
+    preamble, *parts = re.split(r"^[ \t]*\[([^\]\n]*)\][ \t]*$", text, flags=re.M)
+    if _config_lines(preamble):
+        raise UsageError("fig%d preset has keys before its first [section]" % fig_id)
+    sections = {name: dict(_config_lines(body)) for name, body in zip(parts[::2], parts[1::2])}
+    default = sections.pop("DEFAULT", {})
+    return {name: {**default, **keys} for name, keys in sections.items()}
 
 
 def generate_figure(fig_id, output_dir):
     """Run every preset curve of the figure; returns the paths written."""
-    cp = _load_preset(fig_id)
+    preset = _load_preset(fig_id)
     os.makedirs(output_dir, exist_ok=True)
     written = []
     panel_refs = {}  # panel -> (omega grid, temperature) for the planck reference
-    for name in cp.sections():
-        section = cp[name]
+    for section in preset.values():
         panel = section["panel"]
-        cfg = _build_config(_run_keys(
-            (key, text) for key, text in section.items() if key not in _PRESET_KEYS))
-        series, grid = compute(cfg)
         path = os.path.join(output_dir, "fig%d_%s_%s.csv" % (fig_id, panel, section["curve"]))
-        write_csv(path, _csv_lines(cfg, series))
+        run_keys = [(key, text) for key, text in section.items() if key not in _PRESET_KEYS]
+        cfg = _build_config(run_keys + [("output", path)])
+        series, grid, warnings = compute(cfg)
+        _emit(cfg, "figures", series, warnings)
         written.append(path)
-        if section.getboolean("planck-reference", fallback=False):
+        if section.get("planck-reference") == "yes":
             panel_refs[panel] = (grid, cfg.temperature)
     for panel, (grid, temperature) in panel_refs.items():
         vals = [float(v) for v in planck_density(grid, temperature)]

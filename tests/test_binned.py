@@ -251,6 +251,14 @@ def test_cube_bin_cap_checked_before_counts(monkeypatch):
         cube_binned_density(1e-5, BoundaryCondition.PERIODIC, 300.0, 0.0, 1e15)
 
 
+def test_bin_layout_refusal_names_both_values():
+    from cavityrad.binned import _bin_layout
+
+    with pytest.raises(ValueError, match=r"delta_omega and volume must be > 0, got "
+                                         r"delta_omega=10000000000000\.0, volume=0\.0"):
+        _bin_layout(1e15, 1e13, 0.0)
+
+
 def test_fast_len_matches_scipy():
     next_fast_len = pytest.importorskip("scipy.fft").next_fast_len
     from cavityrad.binned import _fast_len

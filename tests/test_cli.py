@@ -228,8 +228,13 @@ def figure_dir(tmp_path_factory):
     return out
 
 
-@pytest.mark.parametrize("fig, name", [(1, "periodic_0p05mm"), (2, "antiperiodic_0p05mm"),
-                                       (3, "L0p05mm_periodic"), (4, "sphere_0p05mm")])
+def preset_curves():
+    from cavityrad.figures import _load_preset
+
+    return [(fig, name) for fig in (1, 2, 3, 4) for name in _load_preset(fig)]
+
+
+@pytest.mark.parametrize("fig, name", preset_curves())
 def test_spectrum_with_preset_keys_reproduces_figure_csv(fig, name, figure_dir, tmp_path):
     # a preset section's run keys as a --config file give the figure's CSV, byte for byte
     from cavityrad.figures import _load_preset
@@ -243,6 +248,42 @@ def test_spectrum_with_preset_keys_reproduces_figure_csv(fig, name, figure_dir, 
     assert cli.main(["spectrum", "--config", str(cfg), "--output", str(out)]) == 0
     expected = figure_dir / ("fig%d_%s_%s.csv" % (fig, section["panel"], section["curve"]))
     assert out.read_bytes() == expected.read_bytes()
+
+
+def test_preset_curve_count():
+    assert len(preset_curves()) == 30  # 9 films, 9 rods, 6 cubes, 3 cubes + 3 spheres
+
+
+def test_figures_warn_for_singular_rod_samples(monkeypatch, capsys, tmp_path):
+    # a figure curve goes through the spectrum path: same CSV bytes, same warnings
+    from cavityrad import figures
+
+    L = 2e-5
+    keys = {"geometry": "rod", "bc": "periodic", "lengths": "%r,%r" % (L, L),
+            "temperature": "300", "omega-max": repr(10.0 * 2.0 * math.pi * C_LIGHT / L),
+            "samples": "101"}
+    monkeypatch.setattr(figures, "_load_preset",
+                        lambda fig_id: {"rod": {"panel": "periodic", "curve": "grid", **keys}})
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("".join("%s = %s\n" % kv for kv in keys.items()))
+    assert cli.main(["spectrum", "--config", str(cfg)]) == 0
+    spectrum = capsys.readouterr()
+    assert cli.main(["figures", "2", "--output-dir", str(tmp_path)]) == 0
+    path = tmp_path / "fig2_periodic_grid.csv"
+    warnings = spectrum.err.splitlines()
+    assert len(warnings) >= 5 and all(w.startswith("warning: singular") for w in warnings)
+    assert capsys.readouterr().err.splitlines() == warnings + [str(path)]
+    assert path.read_text() == spectrum.out
+
+
+def test_config_section_line_refused(tmp_path):
+    # preset section headers are not --config syntax
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[DEFAULT]\ngeometry = film\n")
+    r = run_cli("spectrum", "--config", str(cfg))
+    assert r.returncode == 2
+    assert r.stderr == "error: config line without '=': '[DEFAULT]'\n"
+    assert r.stdout == ""
 
 
 def test_modes_dirichlet_cube_first_row():
@@ -302,6 +343,29 @@ def test_singular_rod_sample_emits_empty_field_and_warns():
 )
 def test_usage_errors_exit_2(args):
     assert run_cli(*args).returncode == 2
+
+
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-300,1e-300,1e-300"),
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-300,1e-300,1e-200"),
+    ("--geometry", "box", "--bc", "dirichlet", "--lengths", "1e300,1e300,1e300"),
+    ("--geometry", "sphere", "--diameter", "1e-300"),
+    ("--geometry", "sphere", "--diameter", "1e300", "--omega-max", "5e-324"),
+    ("--geometry", "rod", "--bc", "dirichlet", "--lengths", "1e-300,1e-300", "--samples", "3"),
+    ("--geometry", "rod", "--bc", "periodic", "--lengths", "1e-300,1e-300", "--samples", "3"),
+    ("--geometry", "rod", "--bc", "periodic", "--lengths", "1e300,1e300",
+     "--omega-max", "5e-324", "--samples", "3"),
+], ids=["cube-underflow", "box-underflow", "cube-overflow", "sphere-underflow",
+        "sphere-overflow", "rod-dirichlet-underflow", "rod-periodic-underflow", "rod-overflow"])
+def test_cavity_size_beyond_a_float_exit_2(flags):
+    # the density divides by the volume or the rod area, which must be a positive finite float
+    r = run_cli("spectrum", *flags, "--temperature", "300",
+                *(() if "--omega-max" in flags else ("--omega-max", "1e15")))
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert ("--diameter" if "sphere" in flags else "--lengths") in r.stderr
+    assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""
 
 
 def test_resource_cap_exit_3():
@@ -387,7 +451,7 @@ def test_unbounded_modes_exit_3(flags):
     assert r.stdout == ""
 
 
-def test_runtime_imports_no_scipy():
+def test_runtime_imports_no_scipy(tmp_path):
     script = (
         "import sys, io, contextlib\n"
         "import cavityrad\n"
@@ -403,6 +467,10 @@ def test_runtime_imports_no_scipy():
         "                 '--temperature', '300', '--omega-max', '1e15']) == 0\n"
         "assert len(out.getvalue().splitlines()) > 100\n"
         "assert not loaded(), loaded()\n"
+        "with contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert main(['figures', '3', '--output-dir', sys.argv[1]]) == 0\n"
+        "assert 'configparser' not in sys.modules\n"
     )
-    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                       text=True)
     assert r.returncode == 0, r.stderr

@@ -226,8 +226,7 @@ def rod_curves():
     from cavityrad.figures import _load_preset
 
     preset = _load_preset(2)
-    for name in preset.sections():
-        section = preset[name]
+    for name, section in preset.items():
         rod = RodGeometry(*(float(v) for v in section["lengths"].split(",")))
         grid = np.linspace(float(section["omega-min"]), float(section["omega-max"]),
                            int(section["samples"]))

@@ -28,11 +28,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BesselZeroError
+from .errors import BesselZeroError, ResourceLimitError
 from .validate import finite_real
 
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
-           "BesselZeroTable"]
+           "BesselZeroTable", "MAX_BESSEL_ZEROS", "MAX_RECURRENCE_STEPS"]
+
+#: cap on the candidate zeros of one table, counted in floats before any
+#: array exists; more raises ResourceLimitError. Twice the default estimate
+#: cap of enumerate_sphere_modes, so a sphere meets its own cap first.
+MAX_BESSEL_ZEROS = 2 * 10**8
+
+#: cap on the steps of one downward recurrence in spherical_jl, which starts
+#: above max(l, x); more raises ResourceLimitError. On a 2-vCPU Xeon VM j_3
+#: takes 5-8 s at x = 1e6 (~10**6 steps) and ~13 s just below the cap.
+MAX_RECURRENCE_STEPS = 2 * 10**6
 
 _RESCALE = 1e250
 
@@ -70,7 +80,8 @@ def spherical_jl(l, x):
     Closed forms for l <= 1; for l >= 2 a downward (Miller) recurrence
     normalized against j_0 or j_1, whichever is better conditioned at each
     point. Downward recurrence is stable on both sides of the turning point,
-    unlike the upward direction which fails for x < l.
+    unlike the upward direction which fails for x < l. It takes about
+    max(l, x) steps; more than MAX_RECURRENCE_STEPS raise ResourceLimitError.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError("l must be a nonnegative integer")
@@ -95,6 +106,8 @@ def _miller(l, x):
     if xp.size:
         m = max(l, int(math.ceil(float(xp.max()))))
         n_start = m + int(math.ceil(12.0 * m ** (1.0 / 3.0))) + 16
+        if n_start > MAX_RECURRENCE_STEPS:
+            raise ResourceLimitError(n_start, MAX_RECURRENCE_STEPS, "recurrence steps")
         jp = np.zeros_like(xp)
         jc = np.full_like(xp, 1e-30)
         out_l = np.zeros_like(xp)
@@ -285,7 +298,9 @@ def build_bessel_zero_table(x_max, max_order=None):
     """Tabulate the zeros of the spherical Bessel functions up to x_max.
 
     Levels stop at the first l with no zero below x_max, or at max_order.
-    Raises BesselZeroError if the solved zeros fail the interlacing check.
+    Raises BesselZeroError if the solved zeros fail the interlacing check,
+    and ResourceLimitError before any array exists if the levels to solve
+    hold more than MAX_BESSEL_ZEROS candidate zeros.
     """
     x_max = finite_real(x_max, "x_max must be finite and > 0")
     if x_max < math.pi:
@@ -293,6 +308,13 @@ def build_bessel_zero_table(x_max, max_order=None):
     top = int(x_max + _GUESS_MARGIN) + 1       # j_l has no zero below l + 1/2
     if max_order is not None:
         top = max(0, min(top, max_order))
+    # each level holds at most limit/pi guesses, all levels ~limit^2/8 (the
+    # integral of the phase in _candidate_counts), and each level adds at most
+    # 2.25 for the headroom and the sentinel
+    limit, levels = x_max + _GUESS_MARGIN, top + 1.0
+    required = min(limit * limit / 8.0, levels * limit / math.pi) + 2.25 * levels
+    if not required <= MAX_BESSEL_ZEROS:
+        raise ResourceLimitError(required, MAX_BESSEL_ZEROS, "Bessel zeros")
     counts = _candidate_counts(x_max, top)
     c0 = int(counts[0])
     l, n = _expand(np.arange(1, counts.size), counts[1:])

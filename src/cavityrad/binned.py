@@ -63,7 +63,11 @@ class BinnedSpectrum:
         return float(np.sum(self.u) * self.delta_omega * self.volume)
 
 
-def _bin_count(omega_max, delta_omega):
+def _bin_layout(omega_max, delta_omega, volume):
+    """Checked bin count and partial flag, before any mode or bin array exists."""
+    if not (delta_omega > 0 and volume > 0):
+        raise ValueError("delta_omega and volume must be > 0, got delta_omega=%r, "
+                         "volume=%r" % (delta_omega, volume))
     q = omega_max / delta_omega
     if not q <= MAX_BINS:
         raise ResourceLimitError(math.ceil(q) if math.isfinite(q) else q, MAX_BINS,
@@ -72,14 +76,6 @@ def _bin_count(omega_max, delta_omega):
     if q_round >= 1 and abs(q - q_round) <= 1e-9 * q:
         return int(q_round), False
     return int(math.ceil(q)), True  # last bin padded past omega_max
-
-
-def _bin_layout(omega_max, delta_omega, volume):
-    """Checked bin count and partial flag, before any mode or bin array exists."""
-    if not (delta_omega > 0 and volume > 0):
-        raise ValueError("delta_omega and volume must be > 0, got delta_omega=%r, "
-                         "volume=%r" % (delta_omega, volume))
-    return _bin_count(omega_max, delta_omega)
 
 
 def _bin(omegas, multiplicities, T, delta_omega, volume, layout):
@@ -162,11 +158,12 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
 
     For a cube the eigenfrequencies are sqrt(integer) times a fixed unit, so
     the spectrum is aggregated over integer norms instead of scanning
-    O((omega_max L / c)^3) lattice points; the result matches
-    binned_density(enumerate_box_modes(...)) exactly up to the 1e-12 merge
-    convention but stays cheap for desk-scale cavities as large as
-    centimeters. More than MAX_CUBE_NORMS integer norms, or more than
-    MAX_BINS bins, raise ResourceLimitError before the norm arrays exist.
+    O((omega_max L / c)^3) lattice points. The result has the bins and zero
+    pattern of binned_density(enumerate_box_modes(...)) and its values to
+    ~1e-14 relative (unit*sqrt(m) rounds differently from the scan's c*|k|),
+    but stays cheap for desk-scale cavities as large as centimeters. More
+    than MAX_CUBE_NORMS integer norms, or more than MAX_BINS bins, raise
+    ResourceLimitError before the norm arrays exist.
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binned import _bin_count, binned_density, cube_binned_density, weyl_density
+from .binned import _bin_layout, binned_density, cube_binned_density, weyl_density
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
@@ -208,7 +208,7 @@ def compute(cfg):
                     "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
                 )
     else:
-        _bin_count(cfg.omega_max, cfg.delta_omega)  # refuses too many bins before any work
+        _bin_layout(cfg.omega_max, cfg.delta_omega, geom.volume)  # refuses before any work
         if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
             # a cube's frequencies are sqrt(integer norms): no lattice scan needed
             spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,

@@ -14,6 +14,7 @@ from .validate import finite_real
 __all__ = [
     "BoundaryCondition",
     "quantization",
+    "label_count",
     "CUT_MARGIN",
     "lattice_axes",
     "disc_sums",
@@ -51,6 +52,17 @@ def quantization(bc):
     return _RULES[bc]
 
 
+def label_count(m, bc):
+    """Number of labels n with |n + offset| <= m (two-sided) or 1 <= n <= m.
+
+    m is a whole number >= 0: an int, a float or a float array. Two-sided
+    labels pair up as n and -n - 2*offset, and n = 0 is alone at offset 0, so
+    the count is 2m + 1 (periodic), 2m (antiperiodic) or m (Dirichlet).
+    """
+    _, offset, two_sided = quantization(bc)
+    return (2 * m + (0 if offset else 1)) if two_sided else m
+
+
 #: relative margin of every cut on k^2 or on an integer norm: the cut keeps a
 #: superset, and the exact filter runs on omega after the square root
 CUT_MARGIN = 1.0 + 4e-16
@@ -64,13 +76,9 @@ def lattice_axes(lengths, bc, k_cap, cap, what):
     compared with cap, so a cutoff too large for any array raises
     ResourceLimitError(required, cap, what) before an int or an array exists.
     """
-    period, offset, two_sided = quantization(bc)
+    period, offset, _ = quantization(bc)
     bounds = [float(np.ceil(k_cap * L / period + offset)) + 1.0 for L in lengths]
-    if two_sided:  # n = 0 has no mirror at offset 0
-        sizes = [2.0 * m + (1.0 if offset == 0.0 else 0.0) for m in bounds]
-    else:
-        sizes = bounds
-    required = math.prod(sizes)
+    required = math.prod(label_count(m, bc) for m in bounds)
     if not required <= cap:
         raise ResourceLimitError(required, cap, what)
     return [axis_wavenumbers(L, bc, m) for L, m in zip(lengths, bounds)]
@@ -80,10 +88,7 @@ def axis_wavenumbers(L, bc, m):
     """Wavenumbers and their integer labels n on one axis with label bound m."""
     period, offset, two_sided = quantization(bc)
     m = int(m)
-    if not two_sided:
-        n = np.arange(1, m + 1)
-    else:
-        n = np.arange(-m, m + 1 if offset == 0.0 else m)
+    n = np.arange(label_count(m, bc)) + (-m if two_sided else 1)  # from the first label
     return period * (n + offset) / L, n
 
 
@@ -185,14 +190,14 @@ def descriptors_for(geom):
     if isinstance(geom, BoxGeometry):
         l1, l2, l3 = geom.L1, geom.L2, geom.L3
         return GeometryDescriptors(
-            V=l1 * l2 * l3,
+            V=geom.volume,
             A=2.0 * (l1 * l2 + l2 * l3 + l3 * l1),
             M=math.pi * (l1 + l2 + l3),
         )
     if isinstance(geom, SphereGeometry):
         r = geom.radius
         return GeometryDescriptors(
-            V=4.0 / 3.0 * math.pi * r**3,
+            V=geom.volume,
             A=4.0 * math.pi * r**2,
             M=4.0 * math.pi * r,
         )

@@ -59,8 +59,6 @@ class ModeList:
 
     def thermal_energy(self, T):
         """Total thermal energy sum(N_i * eps(omega_i, T)) in J."""
-        if len(self.omegas) == 0:
-            return 0.0
         return float(np.sum(self.multiplicities * mean_oscillator_energy(self.omegas, T)))
 
 
@@ -119,7 +117,7 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
     if not estimate < max_lattice_points:
         raise ResourceLimitError(int(estimate) + 1 if math.isfinite(estimate) else estimate,
                                  max_lattice_points, "Bessel zeros")
-    if x_max < math.pi:
+    if x_max < math.pi:  # no zero; also an x_max that underflows to 0, which the table refuses
         return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     table = build_bessel_zero_table(x_max)
     omegas, weights = [], []

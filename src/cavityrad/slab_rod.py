@@ -18,9 +18,9 @@ import math
 import numpy as np
 
 from .constants import C_LIGHT
-from .errors import ThresholdSingularityError
+from .errors import ResourceLimitError, ThresholdSingularityError
 from .geometry import (CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
-                       disc_sums, lattice_axes, quantization)
+                       disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -51,16 +51,17 @@ def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
 
     Floors jump at exact integer arguments and take the upper value there
     (right-continuity in omega): a mode is counted the instant it is admitted.
+    A count of 2**63 or more, which an int64 cannot hold, raises
+    ResourceLimitError.
     """
-    period, offset, two_sided = quantization(bc)
+    period, offset, _ = quantization(bc)
     omega = np.asarray(omega, dtype=float)
     if not np.all(np.isfinite(omega)) or np.any(omega < 0):
         raise ValueError("omega must be finite and >= 0")
-    q = omega * geom.L1 / (C_LIGHT * period)
-    if two_sided:  # labels n and -n - 2*offset pair up; n = 0 is alone at offset 0
-        n = 2.0 * np.floor(q + offset) + (1.0 if offset == 0.0 else 0.0)
-    else:
-        n = np.floor(q)
+    with np.errstate(over="ignore"):  # an overflowed count is inf and refused below
+        n = label_count(np.floor(omega * geom.L1 / (C_LIGHT * period) + offset), bc)
+    if not np.all(n < 2.0**63):  # the int64 cast would wrap
+        raise ResourceLimitError(float(np.max(n)), 2**63 - 1, "film modes")
     return int(n) if n.ndim == 0 else n.astype(np.int64)
 
 
@@ -169,13 +170,17 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
         t = np.subtract(kk, s[:m])
         np.sqrt(t, out=t)
         totals.append(float(np.sum(np.divide(1.0, t, out=t))))
-    pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
-        math.pi * C_LIGHT**2 * geom.L1 * geom.L2
-    )
-    values = pref * np.array(totals)
+    values = _rod_prefactor(omega, T, geom) * np.array(totals)
     if singular:
         values[list(singular)] = np.nan
     return values, singular
+
+
+def _rod_prefactor(omega, T, geom):
+    """Thermal prefactor of the rod sum, 2 omega eps(omega, T)/(pi c^2 L1 L2)."""
+    return 2.0 * omega * mean_oscillator_energy(omega, T) / (
+        math.pi * C_LIGHT**2 * geom.L1 * geom.L2
+    )
 
 
 def _mode_indices(geom, bc, k_perp, k_cap):
@@ -223,9 +228,9 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
             raise ValueError("omega lies below the first transverse threshold")
         if i < len(thresholds):
             break
+        # one axis step, c*period/max(L1, L2) <= 2 * first threshold < 2*omega,
+        # reaches the next threshold, so it lies below 3*omega and cap stops by 5
         cap *= 2.0
-        if cap > 64.0:
-            raise ValueError("no transverse threshold found above omega")
     a = float(thresholds[i - 1])
     b = float(thresholds[i])
     mid_all = 0.5 * (a + b)
@@ -241,8 +246,6 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     total = 0.0
     for lo, hi in zip(edges[:-1], edges[1:]):
         mid = 0.5 * (lo + hi)
-        pref = 2.0 * mid * mean_oscillator_energy(mid, T) / (
-            math.pi * C_LIGHT**2 * geom.L1 * geom.L2
-        )
-        total += pref * float(np.sum(antiderivative(hi) - antiderivative(lo)))
+        total += _rod_prefactor(mid, T, geom) * float(
+            np.sum(antiderivative(hi) - antiderivative(lo)))
     return total / (b - a)

@@ -3,6 +3,8 @@ tan x = x root, interlacing, residuals through the public evaluator, an
 mpmath oracle and the table shapes of the former level-by-level solver."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ import pytest
 from cavityrad import (
     BesselZeroError,
     BesselZeroTable,
+    ResourceLimitError,
     build_bessel_zero_table,
     spherical_bessel_zeros,
     spherical_jl,
@@ -217,3 +220,37 @@ def test_invalid_inputs():
         spherical_jl(2, -0.5)
     with pytest.raises(ValueError):
         spherical_bessel_zeros(2, 0.0)
+
+
+def test_zero_tables_over_cap_refused_before_allocation():
+    import tracemalloc
+
+    # 3.2e12 zeros of j_0 alone and ~1.25e13 over all levels: 23 and 91 TiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="Bessel zeros"):
+            spherical_bessel_zeros(0, 1e13)
+        with pytest.raises(ResourceLimitError, match="Bessel zeros"):
+            build_bessel_zero_table(1e7)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    assert spherical_bessel_zeros(0, 1e6).size == 318309  # max_order 0: level 0 alone counts
+
+
+def test_jl_recurrence_over_cap_refused_at_once():
+    # the downward recurrence starts above max(l, x): unbounded calls must not start
+    script = (
+        "from cavityrad import ResourceLimitError, spherical_jl\n"
+        "for l, x in ((2, 1e300), (10**9, 1.0)):\n"
+        "    try:\n"
+        "        spherical_jl(l, x)\n"
+        "    except ResourceLimitError as exc:\n"
+        "        print(exc)\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                       timeout=10)
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2 and all("recurrence steps" in line for line in lines)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -13,11 +14,15 @@ from cavityrad import (
     C_LIGHT,
     BoundaryCondition,
     BoxGeometry,
+    FilmGeometry,
+    ResourceLimitError,
     RodGeometry,
     ThresholdSingularityError,
     binned_density,
     cli,
     enumerate_box_modes,
+    film_density,
+    film_mode_count,
     rod_density,
     rod_threshold_frequencies,
 )
@@ -474,3 +479,83 @@ def test_runtime_imports_no_scipy(tmp_path):
     r = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
+
+
+# one input per refusal of _build_config, plus the modes refusal of a film and a rod
+FILM = ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5")
+RUN = ("--temperature", "300", "--omega-max", "1e15")
+USAGE_REFUSALS = {
+    "unknown-key": ((), "foo = 1\n", "unknown config key 'foo'"),
+    "bad-value": (FILM + ("--samples", "many"), None, "bad --samples value 'many'"),
+    "no-geometry": (("--bc", "dirichlet", "--length", "1e-5"), None,
+                    "--geometry is required"),
+    "unknown-geometry": (("--geometry", "cone", "--bc", "dirichlet"), None,
+                         "--geometry must be film, rod, box or sphere"),
+    "unknown-bc": (("--geometry", "film", "--bc", "robin", "--length", "1e-5"), None,
+                   "--bc must be periodic, antiperiodic or dirichlet"),
+    "no-lengths": (("--geometry", "box", "--bc", "periodic"), None, "box needs --lengths"),
+    "length-count": (("--geometry", "box", "--bc", "periodic", "--lengths", "1e-5,1e-5"), None,
+                     "--lengths needs 3 comma-separated value(s) here"),
+    "omega-min": (FILM + ("--omega-min", "2e15"), None, "need 0 <= --omega-min < --omega-max"),
+    "samples": (FILM + ("--samples", "1"), None, "--samples must be >= 2"),
+    "compare": (FILM + ("--compare", "planck,rayleigh"), None,
+                "--compare entries must be planck or weyl"),
+    "format": (FILM + ("--format", "xml"), None, "--format must be csv or json"),
+    "modes-film": (FILM, None, "modes are enumerated for box and sphere geometries only"),
+    "modes-rod": (("--geometry", "rod", "--bc", "periodic", "--lengths", "1e-5,1e-5"), None,
+                  "modes are enumerated for box and sphere geometries only"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_REFUSALS))
+def test_build_config_refusals_exit_2_with_one_error_line(case, capsys, tmp_path):
+    flags, config, message = USAGE_REFUSALS[case]
+    command = "modes" if case.startswith("modes-") else "spectrum"
+    args = [command, *flags, *RUN]
+    if config is not None:
+        path = tmp_path / "run.cfg"
+        path.write_text(config)
+        args += ["--config", str(path)]
+    assert cli.main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("geometry, flags", [
+    ("film", ("--bc", "dirichlet", "--length", "1e-5")),
+    ("rod", ("--bc", "periodic", "--lengths", "1e-5,2e-5")),
+])
+def test_json_config_echo_of_sampled_geometries(geometry, flags, capsys):
+    assert cli.main(["spectrum", "--geometry", geometry, *flags, "--temperature", "300",
+                     "--omega-min", "1e13", "--omega-max", "1e15", "--samples", "4",
+                     "--compare", "planck", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config.items()) == [
+        ("command", "spectrum"), ("geometry", geometry), ("bc", flags[1]),
+        ("temperature_K", 300.0), ("lengths_m", [float(v) for v in flags[3].split(",")]),
+        ("omega_min_rad_s", 1e13), ("omega_max_rad_s", 1e15), ("samples", 4),
+        ("compare", ["planck"]),
+    ]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--bc", "periodic", "--length", "1e300"),   # omega*L1 overflows to inf
+    ("--bc", "dirichlet", "--length", "1e290"),  # finite, but past the int64 range
+], ids=["overflowing-count", "count-beyond-int64"])
+def test_film_count_beyond_int64_refused(flags):
+    r = run_cli("spectrum", "--geometry", "film", *flags, "--temperature", "300",
+                "--omega-max", "1e15", "--samples", "3")
+    assert r.returncode == 3, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert "film modes" in r.stderr and "Warning" not in r.stderr
+    assert r.stdout == ""
+    film = FilmGeometry(float(flags[3]))
+    bc = BoundaryCondition(flags[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for omega in (1e15, np.linspace(0.0, 1e15, 3)):
+            with pytest.raises(ResourceLimitError, match="film modes"):
+                film_mode_count(omega, film, bc)
+            with pytest.raises(ResourceLimitError, match="film modes"):
+                film_density(omega, 300.0, film, bc)

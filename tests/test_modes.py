@@ -10,6 +10,7 @@ from cavityrad import (
     C_LIGHT,
     BoundaryCondition,
     BoxGeometry,
+    ModeList,
     ResourceLimitError,
     SphereGeometry,
     enumerate_box_modes,
@@ -176,6 +177,20 @@ def test_box_scan_with_no_admitted_cross_section_stays_small():
         tracemalloc.stop()
     assert len(modes) == 0
     assert peak < 8 * 10**6
+
+
+def test_sphere_with_an_underflowing_cutoff_has_no_modes():
+    # x_max = omega_max * R / c underflows to 0, which the zero table refuses
+    modes = enumerate_sphere_modes(SphereGeometry(1e-100), 1e-250)
+    assert len(modes) == 0 and modes.total_mode_count == 0
+    assert modes.omegas.dtype == np.float64 and modes.multiplicities.dtype == np.int64
+
+
+def test_empty_mode_list_checks_the_temperature():
+    empty = ModeList(np.empty(0), np.empty(0, dtype=np.int64), 1e15)
+    assert empty.thermal_energy(300.0) == 0.0
+    with pytest.raises(ValueError, match="temperature must be > 0"):
+        empty.thermal_energy(-1.0)
 
 
 def test_sphere_refusal_counts_bessel_zeros():

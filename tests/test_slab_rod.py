@@ -282,6 +282,33 @@ def test_rod_window_average_near_planck():
         assert abs(avg / planck_density(1e14, 300.0) - 1.0) < 0.01
 
 
+def test_rod_window_search_doubles_past_the_first_window(monkeypatch):
+    from cavityrad import quadrature_total_energy, slab_rod
+
+    # periodic square rod: t2 = sqrt(2)*t1 lies beyond the first window 1.25*omega
+    L, T, bc = 1e-5, 300.0, BoundaryCondition.PERIODIC
+    rod = RodGeometry(L, L)
+    t1 = 2.0 * math.pi * C_LIGHT / L
+    t2 = math.sqrt(2.0) * t1
+    windows = []
+    search = slab_rod._table_and_thresholds
+    monkeypatch.setattr(slab_rod, "_table_and_thresholds",
+                        lambda g, b, w: windows.append(w) or search(g, b, w))
+    avg = rod_window_average(1.1 * t1, T, rod, bc)
+    assert len(windows) == 2 and windows[0] < t2 < windows[1]
+    fn = lambda w: rod_density(w, T, rod, bc, threshold_guard=0.0)
+    integral = (quadrature_total_energy(fn, t2, thresholds=[t1], rel_tol=1e-9)
+                - quadrature_total_energy(fn, t1, rel_tol=1e-9))
+    assert avg == pytest.approx(integral / (t2 - t1), rel=1e-4)
+
+
+def test_rod_window_below_the_first_threshold_refused():
+    L = 1e-5
+    t1 = math.sqrt(2.0) * math.pi * C_LIGHT / L  # Dirichlet mode (1, 1)
+    with pytest.raises(ValueError, match="omega lies below the first transverse threshold"):
+        rod_window_average(0.5 * t1, 300.0, RodGeometry(L, L), BoundaryCondition.DIRICHLET)
+
+
 def test_rod_thresholds_sorted_distinct():
     rod = RodGeometry(1e-5, 1e-5)
     th = rod_threshold_frequencies(rod, BoundaryCondition.ANTIPERIODIC, 5e14)

@@ -92,21 +92,28 @@ def axis_wavenumbers(L, bc, m):
     return period * (n + offset) / L, n
 
 
-def disc_sums(axes, cap):
+def disc_sums(axes, cap, weights=None):
     """Every sum k_1^2 + ... + k_d^2 <= cap over the axes, in row-major order.
 
     The last axis is cut first, then each earlier axis is added as one
     broadcast and the sums cut again; each cut is exact, because adding a
     square >= 0 never lowers a float sum. The association is
     k_1^2 + (k_2^2 + k_3^2). Works on float wavenumbers and integer labels.
+    With one weight array per axis, the products of the weights go through
+    the same cuts and (sums, weights) is returned.
     """
+    def cut(s, w):
+        keep = s <= cap
+        return s[keep], (None if w is None else w[keep])
+
     with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
-        s = axes[-1] ** 2
-        s = s[s <= cap]
-        for k in axes[-2::-1]:
-            s = (k**2)[:, None] + s[None, :]
-            s = s[s <= cap]
-    return s
+        s, w = cut(axes[-1] ** 2, None if weights is None else weights[-1])
+        for i in range(len(axes) - 2, -1, -1):
+            s = (axes[i] ** 2)[:, None] + s[None, :]
+            if w is not None:
+                w = weights[i][:, None] * w[None, :]
+            s, w = cut(s, w)
+    return s if weights is None else (s, w)
 
 
 def _require_positive(geom, *names):

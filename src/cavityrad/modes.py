@@ -22,7 +22,7 @@ from .bessel import build_bessel_zero_table
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
 from .geometry import (CUT_MARGIN, BoundaryCondition, BoxGeometry, SphereGeometry,
-                       disc_sums, lattice_axes)
+                       disc_sums, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -62,22 +62,28 @@ class ModeList:
         return float(np.sum(self.multiplicities * mean_oscillator_energy(self.omegas, T)))
 
 
-def _merge_weighted(omegas, weights):
+def _merge_weighted(omegas, weights=None):
     """Sort and merge entries whose neighbour gap is below MERGE_RTOL.
 
     Chain convention: consecutive values whose gap is <= rtol*left merge into
-    one group represented by its smallest member; weights are summed.
+    one group represented by its smallest member; weights are summed. Without
+    weights every entry counts 1, so a plain sort and the run lengths of the
+    groups replace the stable argsort and gather.
     """
-    order = np.argsort(omegas, kind="stable")
-    om = omegas[order]
-    wt = weights[order]
+    if weights is None:
+        om = np.sort(omegas)
+    else:
+        order = np.argsort(omegas, kind="stable")
+        om, weights = omegas[order], weights[order]
     if om.size == 0:
-        return om, wt.astype(np.int64)
+        return om, np.zeros(0, dtype=np.int64)
     new_group = np.empty(om.size, dtype=bool)
     new_group[0] = True
     new_group[1:] = np.diff(om) > MERGE_RTOL * om[:-1]
     starts = np.flatnonzero(new_group)
-    return om[starts], np.add.reduceat(wt, starts).astype(np.int64)
+    counts = (np.diff(starts, append=om.size) if weights is None
+              else np.add.reduceat(weights, starts))
+    return om[starts], counts.astype(np.int64, copy=False)
 
 
 def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
@@ -86,20 +92,27 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
 
     Frequencies agreeing within 1e-12 relative merge with summed
     multiplicities, then every multiplicity is doubled for polarization.
-    The periodic (0,0,0) zero mode is excluded. A cutoff implying more
-    bounding-lattice points than max_lattice_points raises
-    ResourceLimitError naming the required count.
+    The periodic (0,0,0) zero mode is excluded. Periodic and antiperiodic
+    scans visit one sign of each component only. A cutoff implying more
+    points of the full signed bounding lattice than max_lattice_points
+    raises ResourceLimitError naming that count.
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     k_max = omega_max / C_LIGHT
     axes = lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, max_lattice_points,
                         "lattice points")
     s_cap = (k_max * k_max) * CUT_MARGIN  # superset; exact filter in omega below
-    s = disc_sums([k for k, _ in axes], s_cap)
-    s = s[s > 0.0]  # periodic zero mode carries no energy
+    ks = [k for k, _ in axes]
+    if quantization(bc)[2]:
+        # a two-sided rule is sign-symmetric: scan k_i >= 0 only, and let each
+        # nonzero component stand for +k_i and -k_i, whose squares are equal
+        ks = [k[k >= 0.0] for k in ks]
+        s, w = disc_sums(ks, s_cap, [np.where(k > 0.0, 2, 1) for k in ks])
+    else:
+        s, w = disc_sums(ks, s_cap), None
     om = C_LIGHT * np.sqrt(s)
-    om = om[om <= omega_max]
-    om_u, counts = _merge_weighted(om, np.ones(om.size, dtype=np.int64))
+    keep = (s > 0.0) & (om <= omega_max)  # the periodic zero mode carries no energy
+    om_u, counts = _merge_weighted(om[keep], None if w is None else w[keep])
     return ModeList(om_u, 2 * counts, omega_max)
 
 

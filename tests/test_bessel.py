@@ -254,3 +254,14 @@ def test_jl_recurrence_over_cap_refused_at_once():
     assert r.returncode == 0, r.stderr
     lines = r.stdout.splitlines()
     assert len(lines) == 2 and all("recurrence steps" in line for line in lines)
+
+
+def test_jl_order_beyond_the_float_range_refused():
+    from cavityrad.bessel import MAX_RECURRENCE_STEPS
+
+    # the order is compared with the cap as an int, before any float conversion
+    with pytest.raises(ResourceLimitError, match="recurrence steps"):
+        spherical_jl(10**400, 1.0)
+    with pytest.raises(ResourceLimitError, match="needs 2000001 recurrence steps"):
+        spherical_jl(MAX_RECURRENCE_STEPS + 1, 1.0)
+    assert spherical_jl(10**400, 0.0) == 0.0  # j_l(0) = 0 needs no recurrence

@@ -2,6 +2,7 @@
 desk scale, bin-width inertness, negativity at small size, descriptors."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -183,6 +184,44 @@ def test_cube_counts_match_brute_force_triples(bc, monkeypatch):
     np.testing.assert_array_equal(r3, brute_force_triple_counts(values.tolist(), m_max))
 
 
+def test_odd_label_counts_live_on_one_residue_class():
+    from cavityrad.binned import _exact_counts_by_convolution
+
+    m_max = 20_011
+    n = np.arange(-72, 72)
+    j = 2 * n + 1                                       # the antiperiodic labels
+    r3 = _exact_counts_by_convolution(j, m_max)
+    # the full-length convolution of the one- and two-axis histograms, exact in ints
+    r1 = np.bincount(j**2, minlength=m_max + 1)[: m_max + 1]
+    r2 = np.bincount((j[:, None] ** 2 + j[None, :] ** 2).ravel(), minlength=m_max + 1)
+    r2 = r2[: m_max + 1]
+    full = np.zeros(m_max + 1, dtype=np.int64)
+    for i in np.flatnonzero(r1):
+        full[i:] += r1[i] * r2[: m_max + 1 - i]
+    assert r3.dtype == np.int64 and r3.shape == (m_max + 1,)
+    off_class = np.arange(m_max + 1) % 8 != 3
+    assert not np.any(r3[off_class]) and np.count_nonzero(r3) > 2000
+    np.testing.assert_array_equal(r3, full)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_antiperiodic_cube_fft_is_eight_times_shorter(bc, monkeypatch):
+    from cavityrad import binned
+
+    m_max = 20_011
+    unit = (2.0 if bc is BoundaryCondition.PERIODIC else 1.0) * math.pi * C_LIGHT
+    lengths = []
+    rfft = np.fft.rfft
+    monkeypatch.setattr(np.fft, "rfft", lambda a, n=None: lengths.append(n) or rfft(a, n))
+    cube_binned_density(1.0, bc, 300.0, unit, unit * math.sqrt(m_max + 0.5))
+    if bc is BoundaryCondition.ANTIPERIODIC:
+        expected = binned._fast_len(2 * ((m_max - 3) // 8 + 1) - 1)  # about m_max / 4
+        assert m_max / 4 <= expected < m_max / 3
+    else:
+        expected = binned._fast_len(2 * m_max + 1)
+    assert lengths == [expected, expected]
+
+
 def test_convolution_exactness_failure_raises_and_exits_4(monkeypatch, capsys):
     from cavityrad import ConvolutionExactnessError, cli
 
@@ -257,6 +296,16 @@ def test_bin_layout_refusal_names_both_values():
     with pytest.raises(ValueError, match=r"delta_omega and volume must be > 0, got "
                                          r"delta_omega=10000000000000\.0, volume=0\.0"):
         _bin_layout(1e15, 1e13, 0.0)
+
+
+@pytest.mark.parametrize("dw, volume", [(1e-252, 5e-301), (1e10, 1e300)])
+def test_bin_layout_refuses_an_underflowing_or_overflowing_divisor(dw, volume):
+    from cavityrad.binned import _bin_layout
+
+    message = ("volume * delta_omega must be a positive finite product, got "
+               "delta_omega=%r, volume=%r" % (dw, volume))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        _bin_layout(1e-250 if dw < 1 else 1e15, dw, volume)
 
 
 def test_fast_len_matches_scipy():

@@ -559,3 +559,21 @@ def test_film_count_beyond_int64_refused(flags):
                 film_mode_count(omega, film, bc)
             with pytest.raises(ResourceLimitError, match="film modes"):
                 film_density(omega, 300.0, film, bc)
+
+
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "sphere", "--diameter", "1e-100", "--omega-max", "1e-250",
+     "--delta-omega", "1e-252"),
+    ("--geometry", "box", "--bc", "dirichlet", "--lengths", "1e100,1e100,1e100",
+     "--omega-max", "1e15", "--delta-omega", "1e10"),
+], ids=["underflow", "overflow"])
+def test_bin_divisor_beyond_a_float_exit_2(flags):
+    # u divides by volume * delta_omega, which must be a positive finite float
+    r = run_cli("spectrum", *flags, "--temperature", "300")
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.startswith("error: ") and len(r.stderr.splitlines()) == 1
+    assert "volume * delta_omega" in r.stderr
+    assert "delta_omega=%r" % float(flags[flags.index("--delta-omega") + 1]) in r.stderr
+    assert "volume=" in r.stderr
+    assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
+    assert r.stdout == ""

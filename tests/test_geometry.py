@@ -1,5 +1,5 @@
-"""The lattice kernel: disc_sums against a brute-force filter, and the
-bounding-box refusal of lattice_axes."""
+"""The lattice kernel: disc_sums, plain and weighted, against a brute-force
+filter, and the bounding-box refusal of lattice_axes."""
 
 import itertools
 import math
@@ -47,6 +47,51 @@ def test_disc_sums_equal_brute_force_on_integer_axes(axes, cap):
     expected = np.array(brute_force_sums(axes, cap), dtype=np.int64)
     assert got.dtype == expected.dtype
     assert np.array_equal(got, expected)
+
+
+def brute_force_weighted_sums(axes, weights, cap):
+    """brute_force_sums with the product of the point's per-axis weights."""
+    kept = []
+    for point, ws in zip(itertools.product(*axes), itertools.product(*weights)):
+        total = point[-1] * point[-1]
+        for k in reversed(point[:-1]):
+            total = k * k + total
+        if total <= cap:
+            kept.append((total, math.prod(ws)))
+    return [s for s, _ in kept], [w for _, w in kept]
+
+
+WEIGHTED_AXES = st.lists(st.lists(st.tuples(FLOATS, st.integers(1, 8)), max_size=6),
+                         min_size=1, max_size=3)
+
+
+@given(axes=WEIGHTED_AXES, cap=FLOAT_CAPS)
+@settings(max_examples=300, deadline=1000)
+def test_weighted_disc_sums_equal_brute_force_on_float_axes(axes, cap):
+    ks = [[k for k, _ in axis] for axis in axes]
+    ws = [[w for _, w in axis] for axis in axes]
+    got, got_w = disc_sums([np.array(k, dtype=float) for k in ks], cap,
+                           [np.array(w, dtype=np.int64) for w in ws])
+    expected, expected_w = brute_force_weighted_sums(ks, ws, cap)
+    assert got.dtype == np.float64 and got_w.dtype == np.int64
+    assert np.array_equal(got, np.array(expected, dtype=float))
+    assert np.array_equal(got_w, np.array(expected_w, dtype=np.int64))
+    # the sums do not depend on the weights
+    assert np.array_equal(got, disc_sums([np.array(k, dtype=float) for k in ks], cap))
+
+
+@given(axes=st.lists(st.lists(st.tuples(st.integers(-40, 40), st.integers(1, 8)), max_size=8),
+                     min_size=1, max_size=3),
+       cap=st.integers(0, 4000))
+@settings(max_examples=200, deadline=1000)
+def test_weighted_disc_sums_equal_brute_force_on_integer_axes(axes, cap):
+    ks = [[k for k, _ in axis] for axis in axes]
+    ws = [[w for _, w in axis] for axis in axes]
+    got, got_w = disc_sums([np.array(k, dtype=np.int64) for k in ks], cap,
+                           [np.array(w, dtype=np.int64) for w in ws])
+    expected, expected_w = brute_force_weighted_sums(ks, ws, cap)
+    assert np.array_equal(got, np.array(expected, dtype=np.int64))
+    assert np.array_equal(got_w, np.array(expected_w, dtype=np.int64))
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))

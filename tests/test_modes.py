@@ -1,10 +1,13 @@
 """Box and sphere enumeration: lattice-shell examples, brute-force
-completeness, isometry and prefix invariants, and the Weyl leading order."""
+completeness, the sign fold against a signed scan, isometry and prefix
+invariants, and the Weyl leading order."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityrad import (
     C_LIGHT,
@@ -18,6 +21,8 @@ from cavityrad import (
     naive_box_count,
     spherical_bessel_zeros,
 )
+from cavityrad.geometry import CUT_MARGIN, disc_sums, lattice_axes
+from cavityrad.modes import MERGE_RTOL
 
 BCS = list(BoundaryCondition)
 
@@ -110,6 +115,64 @@ def test_weyl_leading_order_cube(bc):
     modes = enumerate_box_modes(BoxGeometry(L, L, L), bc, omega_max)
     weyl = L**3 * omega_max**3 / (3.0 * math.pi**2 * C_LIGHT**3)
     assert 0.9 * weyl <= modes.total_mode_count <= 1.1 * weyl
+
+
+def signed_box_scan(geom, bc, omega_max):
+    """Every sign of every component, merged by a stable argsort and gather."""
+    k_max = omega_max / C_LIGHT
+    axes = lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, 10**8, "lattice points")
+    if bc is BoundaryCondition.PERIODIC:
+        assert all(np.count_nonzero(k == 0.0) == 1 for k, _ in axes)  # the 0 label
+    s = disc_sums([k for k, _ in axes], k_max * k_max * CUT_MARGIN)
+    om = C_LIGHT * np.sqrt(s[s > 0.0])
+    om = om[om <= omega_max]
+    order = np.argsort(om, kind="stable")
+    om, ones = om[order], np.ones(om.size, dtype=np.int64)[order]
+    starts = np.flatnonzero(np.concatenate([[True], np.diff(om) > MERGE_RTOL * om[:-1]]))
+    return om[starts], 2 * np.add.reduceat(ones, starts)
+
+
+def assert_equals_signed_scan(geom, bc, omega_max):
+    modes = enumerate_box_modes(geom, bc, omega_max)
+    omegas, multiplicities = signed_box_scan(geom, bc, omega_max)
+    assert len(modes) > 0
+    assert modes.omegas.dtype == omegas.dtype
+    assert modes.multiplicities.dtype == multiplicities.dtype
+    np.testing.assert_array_equal(modes.omegas, omegas)
+    np.testing.assert_array_equal(modes.multiplicities, multiplicities)
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("lengths, omega_max", [
+    ((3e-5, 3e-5, 3e-5), 1e15),           # a cube: shells shared by many sign copies
+    ((5e-5, 4e-5, 3e-5), 1e15),
+    ((1.2e-4, 1.6e-4, 0.8e-4), 1e15),
+    ((1e-6, 2e-5, 3e-5), 1e15),            # the thin axis admits its lowest labels only
+])
+def test_folded_scan_equals_signed_scan(bc, lengths, omega_max):
+    assert_equals_signed_scan(BoxGeometry(*lengths), bc, omega_max)
+
+
+@given(lengths=st.tuples(*[st.floats(1e-5, 4e-5)] * 3), omega_max=st.floats(3e14, 1e15),
+       bc=st.sampled_from(BCS))
+@settings(max_examples=60, deadline=None)
+def test_folded_scan_equals_signed_scan_on_random_boxes(lengths, omega_max, bc):
+    assert_equals_signed_scan(BoxGeometry(*lengths), bc, omega_max)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_lattice_cap_counts_the_signed_bounding_box(bc):
+    # the fold scans an eighth of the signed lattice, but the cap and the
+    # required count stay those of the full signed bounding box
+    geom, omega_max = BoxGeometry(5e-5, 4e-5, 3e-5), 1e15
+    k_max = omega_max / C_LIGHT
+    with pytest.raises(ResourceLimitError) as signed:
+        lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, 1, "lattice points")
+    required = signed.value.required
+    with pytest.raises(ResourceLimitError, match="lattice points") as err:
+        enumerate_box_modes(geom, bc, omega_max, max_lattice_points=required - 1)
+    assert err.value.required == required
+    assert len(enumerate_box_modes(geom, bc, omega_max, max_lattice_points=required)) > 0
 
 
 def test_resource_cap():

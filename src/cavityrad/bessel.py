@@ -105,8 +105,7 @@ def _miller(l, x):
     xp = x[pos]
     if xp.size:
         if l > MAX_RECURRENCE_STEPS:  # checked as an int: past the float range, m ** (1/3) overflows
-            raise ResourceLimitError(l if l < 1e300 else math.inf, MAX_RECURRENCE_STEPS,
-                                     "recurrence steps")
+            raise ResourceLimitError(l, MAX_RECURRENCE_STEPS, "recurrence steps")
         m = max(l, int(math.ceil(float(xp.max()))))
         n_start = m + int(math.ceil(12.0 * m ** (1.0 / 3.0))) + 16
         if n_start > MAX_RECURRENCE_STEPS:

@@ -146,7 +146,7 @@ def _exact_counts_by_convolution(j, m_max):
         r2 = np.bincount(disc_sums([j, j], m_max))[b::step][:size]
         n = _fast_len(2 * size - 1)
         counts = _round_counts(np.fft.irfft(np.fft.rfft(r2, n) * np.fft.rfft(r1, n), n)[:size])
-    r3 = np.zeros(m_max + 1, dtype=np.int64)
+    r3 = np.zeros(m_max + 1, dtype=np.int64)  # after the FFT buffers are freed: no new peak
     r3[a + b::step] = counts
     return r3
 

@@ -23,15 +23,20 @@ class ResourceLimitError(RuntimeError):
     """A request would exceed a cap: lattice points, frequency bins or samples.
 
     `required` is the size the request needs, counted in `what`; it may be a
-    float too large for an integer.
+    float too large for an integer, or an integer too large for a float,
+    which the message shows as inf.
     """
 
     def __init__(self, required, cap, what="lattice points"):
         self.required = required
         self.cap = int(cap)
+        try:
+            shown = float(required)
+        except OverflowError:  # an int beyond the float range
+            shown = float("inf")
         super().__init__(
             "the request needs %.17g %s, exceeding the cap of %d"
-            % (required, what, self.cap)
+            % (shown, what, self.cap)
         )
 
 

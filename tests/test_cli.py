@@ -386,7 +386,9 @@ def test_resource_cap_exit_3():
      "--delta-omega", "1e-3"),
     ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5",
      "--samples", "1000000000000000"),
-], ids=["bins", "samples"])
+    ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5",
+     "--samples", str(10**400)),  # an int beyond the float range
+], ids=["bins", "samples", "samples-beyond-a-float"])
 def test_unbounded_bins_and_samples_exit_3(flags):
     r = run_cli("spectrum", *flags, "--temperature", "300", "--omega-max", "1e15")
     assert r.returncode == 3

@@ -35,7 +35,7 @@ __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_dens
 MAX_BINS = 10**7
 
 #: cap on the integer norms m_max of one cube spectrum; more raises
-#: ResourceLimitError. At the cap one spectrum takes ~5 s and ~0.85 GB peak RSS
+#: ResourceLimitError. At the cap one spectrum takes ~2 s and ~0.22 GB peak RSS
 #: on a 2-vCPU Xeon VM.
 MAX_CUBE_NORMS = 10**7
 
@@ -81,18 +81,27 @@ def _bin_layout(omega_max, delta_omega, volume):
     return int(math.ceil(q)), True  # last bin padded past omega_max
 
 
-def _bin(omegas, multiplicities, T, delta_omega, volume, layout):
-    n_bins, partial = layout
+def _bin_energies(omegas, multiplicities, T, delta_omega, n_bins):
+    """Each mode's bin index and thermal energy."""
     idx = np.minimum((omegas / delta_omega).astype(np.int64), n_bins - 1)
-    energy = multiplicities * mean_oscillator_energy(omegas, T)
-    u = np.bincount(idx, weights=energy, minlength=n_bins) / (volume * delta_omega)
+    return idx, multiplicities * mean_oscillator_energy(omegas, T)
+
+
+def _spectrum(energy_sums, delta_omega, volume, layout):
+    n_bins, partial = layout
     return BinnedSpectrum(
         delta_omega=float(delta_omega),
         omega_left=np.arange(n_bins) * float(delta_omega),
-        u=u,
+        u=energy_sums / (volume * delta_omega),
         volume=float(volume),
         last_bin_partial=partial,
     )
+
+
+def _bin(omegas, multiplicities, T, delta_omega, volume, layout):
+    idx, energy = _bin_energies(omegas, multiplicities, T, delta_omega, layout[0])
+    return _spectrum(np.bincount(idx, weights=energy, minlength=layout[0]), delta_omega,
+                     volume, layout)
 
 
 def binned_density(modes: ModeList, T, delta_omega, volume):
@@ -127,27 +136,93 @@ def _round_counts(raw):
     return counts
 
 
+#: label pairs summed per block in _pair_counts, and integer norms binned per
+#: block in cube_binned_density; each bounds its scratch memory
+PAIR_BLOCK = 1 << 18
+NORM_BLOCK = 1 << 16
+
+
+def _pair_counts(j, cap, shift):
+    """Histogram of (a^2 + b^2) >> shift over label pairs with a^2 + b^2 <= cap.
+
+    The pairs are summed a block of rows at a time, so no array of all pairs
+    exists.
+    """
+    counts = np.zeros((cap >> shift) + 1, dtype=np.int64)
+    rows = max(1, PAIR_BLOCK // max(len(j), 1))
+    for lo in range(0, len(j), rows):
+        part = np.bincount(disc_sums([j[lo:lo + rows], j], cap) >> shift)
+        counts[:part.size] += part
+    return counts
+
+
+def _odd_classes(out, jo, half, m_max):
+    """Write the triples with 1 to 3 odd components into out[m], m <= m_max.
+
+    jo holds the odd labels with jo^2 <= m_max, half the even labels halved,
+    with 4 half^2 <= m_max. An odd square is 1 (mod 8) and an even one
+    0 (mod 4), so each count is one histogram convolution on one residue
+    class mod 8:
+
+    * 3 odd: m = 3 (mod 8), the odd pairs (m = 2 mod 8) * the odd squares;
+    * 2 odd: m = 2 and 6 (mod 8), 3 x the odd pairs * the even squares;
+    * 1 odd: m = 1 and 5 (mod 8), 3 x the even pairs * the odd squares.
+
+    The FFT convolutions are about m_max/4 long, truncated at m_max (indices
+    are nonnegative, so larger sums cannot feed back below m_max) and checked
+    to be safely round-trippable before rounding.
+    """
+    # one transform length serves every class: the longest class computed
+    size = len(range(1 if half.size else 3, m_max + 1, 8))
+    n = _fast_len(2 * size - 1)
+
+    def spectrum(counts):
+        return np.fft.rfft(counts[:size], n)
+
+    def convolve_into(c, counts, other, factor=1):
+        # class c: factor x the convolution of counts with the counts whose
+        # spectrum is other
+        product = spectrum(counts)
+        product *= other
+        raw = np.fft.irfft(product, n)[:len(range(c, m_max + 1, 8))]
+        del product  # freed before the rounding's scratch exists
+        out[c::8] = factor * _round_counts(raw)
+
+    odd_squares = np.bincount(jo * jo >> 3)               # m = 8s + 1 at s
+    odd_pairs = spectrum(_pair_counts(jo, m_max, 3))      # m = 8s + 2 at s
+    convolve_into(3, odd_squares, odd_pairs)
+    if half.size:
+        for c, e in ((2, 0), (6, 1)):  # even squares m = 4u, u = 2s + e: m = 8s + 4e + 2
+            i = half[half % 2 == e]
+            convolve_into(c, np.bincount(i * i >> 1), odd_pairs, 3)
+        del odd_pairs
+        odd_squares = spectrum(odd_squares)
+        even_pairs = _pair_counts(half, m_max >> 2, 0)    # m = 4u at u
+        for c, e in ((1, 0), (5, 1)):                     # m = 8s + 4e + 1
+            convolve_into(c, even_pairs[e::2], odd_squares, 3)
+
+
 def _exact_counts_by_convolution(j, m_max):
     """r3[m] = number of lattice triples with component-square sum m <= m_max.
 
-    j holds the integer labels of one axis. The one- and two-axis counts r1
-    and r2 are exact histograms of the lattice sums; r3 is their linear
-    convolution by FFT, truncated at m_max (indices are nonnegative, so larger
-    sums cannot feed back below m_max), and is checked to be safely
-    round-trippable before rounding. When every label is odd, j^2 = 1 mod 8,
-    so r1 lives on m = 1, r2 on m = 2 and r3 on m = 3 (mod 8): only those
-    residue classes are convolved, with an FFT 8 times shorter.
+    j holds the integer labels of one axis. The number of odd components of
+    a triple is m mod 4. _odd_classes counts the triples with an odd
+    component; the all-even triples, at m = 4t, are the triples of the halved
+    labels j/2 at t, so the same step repeats on r3[::4] with j/2 and m_max/4
+    until a few norms or only the zero label are left, which are counted
+    directly. Antiperiodic labels are all odd: one step, one residue class.
     """
-    step, a, b = (8, 1, 2) if np.all(j % 2 == 1) else (1, 0, 0)
-    size = len(range(a + b, m_max + 1, step))  # the r3 entries of the class
-    counts = 0  # an odd-label class can be empty below m = 3
-    if size:
-        r1 = np.bincount(disc_sums([j], m_max))[a::step][:size]
-        r2 = np.bincount(disc_sums([j, j], m_max))[b::step][:size]
-        n = _fast_len(2 * size - 1)
-        counts = _round_counts(np.fft.irfft(np.fft.rfft(r2, n) * np.fft.rfft(r1, n), n)[:size])
-    r3 = np.zeros(m_max + 1, dtype=np.int64)  # after the FFT buffers are freed: no new peak
-    r3[a + b::step] = counts
+    r3 = np.zeros(m_max + 1, dtype=np.int64)
+    level = r3  # r3[::4**k], whose labels are j/2**k at step k
+    while m_max >= 8 and np.any(j):
+        odd = j % 2 == 1
+        jo, half = j[odd], j[~odd] // 2
+        jo, half = jo[jo * jo <= m_max], half[4 * half * half <= m_max]
+        if jo.size:
+            _odd_classes(level, jo, half, m_max)
+        j, m_max, level = half, m_max >> 2, level[::4]
+    if j.size:
+        level[:] = np.bincount(disc_sums([j, j, j], m_max), minlength=m_max + 1)
     return r3
 
 
@@ -187,11 +262,18 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     layout = _bin_layout(omega_max, delta_omega, volume)
     _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
     r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
-    m = np.flatnonzero(r3)
-    m = m[m > 0]                                       # periodic zero mode excluded
-    om = unit * np.sqrt(m.astype(float))
-    keep = om <= omega_max
-    return _bin(om[keep], 2 * r3[m[keep]], T, delta_omega, volume, layout)  # 2 polarizations
+    # binned a block of norms at a time; np.add.at adds each mode's energy in
+    # norm order, the order of one bincount over all norms, so no bin sum changes
+    energy_sums = np.zeros(layout[0])
+    for lo in range(1, m_max + 1, NORM_BLOCK):       # periodic zero mode excluded
+        block = r3[lo:lo + NORM_BLOCK]
+        m = np.flatnonzero(block)
+        om = unit * np.sqrt((m + lo).astype(float))
+        keep = om <= omega_max
+        idx, energy = _bin_energies(om[keep], 2 * block[m[keep]], T, delta_omega,
+                                    layout[0])      # 2 polarizations
+        np.add.at(energy_sums, idx, energy)
+    return _spectrum(energy_sums, delta_omega, volume, layout)
 
 
 def weyl_density(omega, T, desc: GeometryDescriptors):

@@ -35,6 +35,9 @@ MERGE_RTOL = 1e-12
 #: default cap on the number of lattice points a single enumeration may scan
 DEFAULT_LATTICE_CAP = 10**8
 
+#: neighbour gaps compared per block when merging frequencies
+MERGE_BLOCK = 1 << 18
+
 
 @dataclass(frozen=True)
 class ModeList:
@@ -79,7 +82,9 @@ def _merge_weighted(omegas, weights=None):
         return om, np.zeros(0, dtype=np.int64)
     new_group = np.empty(om.size, dtype=bool)
     new_group[0] = True
-    new_group[1:] = np.diff(om) > MERGE_RTOL * om[:-1]
+    for lo in range(0, om.size - 1, MERGE_BLOCK):  # blocks bound the gap arrays' memory
+        hi = min(lo + MERGE_BLOCK, om.size - 1)
+        new_group[lo + 1:hi + 1] = np.diff(om[lo:hi + 1]) > MERGE_RTOL * om[lo:hi]
     starts = np.flatnonzero(new_group)
     counts = (np.diff(starts, append=om.size) if weights is None
               else np.add.reduceat(weights, starts))
@@ -112,7 +117,9 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
         s, w = disc_sums(ks, s_cap), None
     om = C_LIGHT * np.sqrt(s)
     keep = (s > 0.0) & (om <= omega_max)  # the periodic zero mode carries no energy
-    om_u, counts = _merge_weighted(om[keep], None if w is None else w[keep])
+    del s  # the sums are not needed while the merge sorts a copy of om
+    om, w = om[keep], (None if w is None else w[keep])
+    om_u, counts = _merge_weighted(om, w)
     return ModeList(om_u, 2 * counts, omega_max)
 
 

@@ -204,8 +204,54 @@ def test_odd_label_counts_live_on_one_residue_class():
     np.testing.assert_array_equal(r3, full)
 
 
+@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC, BoundaryCondition.DIRICHLET])
+def test_mixed_parity_counts_equal_the_full_convolution(bc):
+    from cavityrad.binned import _exact_counts_by_convolution
+
+    m_max = 20_011
+    n = np.arange(-150, 151)
+    j = n if bc is BoundaryCondition.PERIODIC else n[n >= 1]  # odd and even labels, 0 for P
+    r3 = _exact_counts_by_convolution(j, m_max)
+    r1 = np.bincount(j**2, minlength=m_max + 1)[: m_max + 1]
+    r2 = np.bincount((j[:, None] ** 2 + j[None, :] ** 2).ravel(), minlength=m_max + 1)
+    r2 = r2[: m_max + 1]
+    full = np.zeros(m_max + 1, dtype=np.int64)
+    for i in np.flatnonzero(r1):
+        full[i:] += r1[i] * r2[: m_max + 1 - i]
+    assert r3.dtype == np.int64 and r3.shape == (m_max + 1,)
+    assert all(np.any(r3[c::8]) for c in range(8) if c != 7)  # every class but 7 mod 8
+    np.testing.assert_array_equal(r3, full)
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
-def test_antiperiodic_cube_fft_is_eight_times_shorter(bc, monkeypatch):
+def test_cube_bins_do_not_depend_on_the_norm_block(bc, monkeypatch):
+    from cavityrad import binned
+
+    def spectrum(block):
+        monkeypatch.setattr(binned, "NORM_BLOCK", block)
+        return cube_binned_density(2e-4, bc, 300.0, 1e13, 1e15).u
+
+    one_block = spectrum(10**9)
+    assert np.array_equal(spectrum(7), one_block)  # bit-identical, not just close
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_spectrum_peak_memory_is_about_two_count_arrays(bc):
+    import tracemalloc
+
+    m_max = 1_000_003
+    unit = (2.0 if bc is BoundaryCondition.PERIODIC else 1.0) * math.pi * C_LIGHT
+    tracemalloc.start()
+    try:
+        cube_binned_density(1.0, bc, 300.0, 100 * unit, unit * math.sqrt(m_max + 0.5))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 8 * (m_max + 1)  # r3 itself plus FFT and binning scratch
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_ffts_are_about_a_quarter_of_m_max_long(bc, monkeypatch):
     from cavityrad import binned
 
     m_max = 20_011
@@ -214,12 +260,16 @@ def test_antiperiodic_cube_fft_is_eight_times_shorter(bc, monkeypatch):
     rfft = np.fft.rfft
     monkeypatch.setattr(np.fft, "rfft", lambda a, n=None: lengths.append(n) or rfft(a, n))
     cube_binned_density(1.0, bc, 300.0, unit, unit * math.sqrt(m_max + 0.5))
+    # the longest class computed: m = 3 (mod 8) for odd labels, else m = 1
+    first = 3 if bc is BoundaryCondition.ANTIPERIODIC else 1
+    expected = binned._fast_len(2 * ((m_max - first) // 8 + 1) - 1)
+    assert m_max / 4 <= expected < m_max / 3
     if bc is BoundaryCondition.ANTIPERIODIC:
-        expected = binned._fast_len(2 * ((m_max - 3) // 8 + 1) - 1)  # about m_max / 4
-        assert m_max / 4 <= expected < m_max / 3
+        assert lengths == [expected, expected]
     else:
-        expected = binned._fast_len(2 * m_max + 1)
-    assert lengths == [expected, expected]
+        # the halved labels repeat the step on m_max/4, with shorter FFTs
+        assert lengths[0] == expected and lengths == sorted(lengths, reverse=True)
+        assert expected / 5 < max(n for n in lengths if n < expected) <= expected / 4 + 1
 
 
 def test_convolution_exactness_failure_raises_and_exits_4(monkeypatch, capsys):

@@ -175,6 +175,22 @@ def test_lattice_cap_counts_the_signed_bounding_box(bc):
     assert len(enumerate_box_modes(geom, bc, omega_max, max_lattice_points=required)) > 0
 
 
+def test_merge_scratch_is_about_one_sorted_copy():
+    import tracemalloc
+
+    from cavityrad.modes import _merge_weighted
+
+    omegas = np.random.default_rng(1).choice(np.linspace(1e13, 1e15, 1000), 10**6)
+    tracemalloc.start()
+    try:
+        om, counts = _merge_weighted(omegas)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(om) == 1000 and counts.sum() == 10**6
+    assert peak < 2 * omegas.nbytes  # the sorted copy plus block-sized gap arrays
+
+
 def test_resource_cap():
     with pytest.raises(ResourceLimitError) as err:
         enumerate_box_modes(BoxGeometry(0.01, 0.01, 0.01), BoundaryCondition.PERIODIC,

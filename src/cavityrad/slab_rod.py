@@ -39,7 +39,12 @@ THRESHOLD_GUARD = 1e-9
 #: cap on the entries of one transverse k^2 table; more raises
 #: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
 #: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
+#: rod_density keeps the last geometry's table, of at most this many entries,
+#: between calls; a growing call may build up to 4x the entries it needs.
 MAX_ROD_TABLE = 5 * 10**7
+
+#: rod_density's kept table (L1, L2, bc, k_cap, sorted k^2), or None
+_kept = None
 
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
@@ -94,6 +99,25 @@ def _transverse_k2(geom, bc, k_cap):
     return s
 
 
+def _kept_k2(geom, bc, k_cap):
+    """_transverse_k2 through rod_density's kept table, grown on a miss.
+
+    Any table at a cap >= k_cap holds the same sorted prefix below k_cap. A miss
+    builds at max(k_cap, 2 x the kept cap) on the kept geometry, else at k_cap."""
+    global _kept
+    kept, key = _kept, (geom.L1, geom.L2, bc)
+    if kept is not None and kept[:3] == key and kept[3] >= k_cap:
+        return kept[4]
+    cap = max(k_cap, 2.0 * kept[3]) if kept is not None and kept[:3] == key else k_cap
+    _kept = kept = None  # release the old table before building the next
+    try:
+        s = _transverse_k2(geom, bc, cap)
+    except ResourceLimitError:  # refused before any array exists
+        cap, s = k_cap, _transverse_k2(geom, bc, k_cap)
+    _kept = key + (cap, s)
+    return s
+
+
 def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     """Admitted transverse wavevector pairs with k1^2 + k2^2 < (omega/c)^2.
 
@@ -111,7 +135,8 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
 
 def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
                 threshold_guard=THRESHOLD_GUARD):
-    """Rod spectral energy density at a single angular frequency.
+    """Rod spectral energy density at a single angular frequency. The last
+    geometry's transverse table is kept for the next call (see MAX_ROD_TABLE).
 
     Parameters
     ----------
@@ -120,8 +145,8 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     geom, bc : RodGeometry, BoundaryCondition
     threshold_guard : float
         Relative half-width of the refusal window around each transverse
-        threshold. Pass 0 to disable (used when integrating across
-        thresholds with a regularizing substitution).
+        threshold, finite and in [0, 1). Pass 0 to disable (used when
+        integrating across thresholds with a regularizing substitution).
 
     Raises
     ------
@@ -130,28 +155,33 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
         mode, where the pointwise density is genuinely unbounded.
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
+    message = "threshold_guard must be finite, >= 0 and < 1"
+    if not finite_real(threshold_guard, message, inclusive=True) < 1.0:
+        raise ValueError(message)
     if omega == 0.0:
         return 0.0
-    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc, threshold_guard)
+    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc,
+                                         float(threshold_guard), _kept_k2)
     if singular:
         raise singular[0]
     return float(values[0])
 
 
-def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
+def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD,
+                      table=_transverse_k2):
     """Rod density at every omega of a 1-D array of finite omegas >= 0.
 
-    All samples share one sorted transverse table, built for the largest
-    omega, and one mean_oscillator_energy call. Returns the densities and a
-    dict from the index of each sample inside a guard window to its
-    ThresholdSingularityError; those samples hold nan. Each value is the one
-    a table sized to its own omega gives, bit for bit: the entries below
-    (omega/c)^2 are the same sorted prefix for any table that covers omega,
-    and each sample sums its own prefix.
+    All samples share one sorted transverse table, table(geom, bc, k_cap)
+    for the largest omega, and one mean_oscillator_energy call. Returns the
+    densities and a dict from the index of each sample inside a guard window
+    to its ThresholdSingularityError; those samples hold nan. Each value is
+    the one a table sized to its own omega gives, bit for bit: the entries
+    below (omega/c)^2 are the same sorted prefix for any table that covers
+    omega, and each sample sums its own prefix.
     """
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
-    s = _transverse_k2(geom, bc, k_cap)
+    s = table(geom, bc, k_cap)
     k2 = k * k
     n = s.searchsorted(k2)  # admitted modes: s < k^2
     singular = {}

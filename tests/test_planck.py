@@ -6,7 +6,7 @@ from decimal import Decimal, getcontext
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cavityrad import (
@@ -120,18 +120,18 @@ def test_fraction_monotone_in_omega_max():
     t1=st.floats(min_value=0.5, max_value=4000.0),
     t2=st.floats(min_value=0.5, max_value=4000.0),
 )
+@example(omega=1e10, t1=4000.0, t2=3999.9999999999995)  # both round to one density
 @settings(max_examples=200, deadline=None)
 def test_density_monotone_in_temperature(omega, t1, t2):
     if t1 == t2:
         return
     lo, hi = min(t1, t2), max(t1, t2)
     u_lo, u_hi = planck_density(omega, lo), planck_density(omega, hi)
-    if u_hi == 0.0:
-        # deep Wien tail underflows to zero for both temperatures
-        assert u_lo == 0.0
-    else:
+    # temperatures an ulp or so apart may round to the same density, and the
+    # deep Wien tail underflows to zero (or a subnormal) for both
+    assert u_hi >= u_lo >= 0.0
+    if hi / lo - 1.0 > 1e-12 and u_lo >= np.finfo(float).tiny:
         assert u_hi > u_lo
-    assert u_lo >= 0.0
 
 
 @pytest.mark.parametrize("s", [2.0, 10.0])

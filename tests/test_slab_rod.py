@@ -30,6 +30,16 @@ from cavityrad import (
 BCS = list(BoundaryCondition)
 
 
+@pytest.fixture(autouse=True)
+def no_kept_rod_table():
+    """rod_density keeps its last table; every test here starts and ends without one."""
+    from cavityrad import slab_rod
+
+    slab_rod._kept = None
+    yield
+    slab_rod._kept = None
+
+
 def brute_film_count(omega, L1, bc):
     """Explicit enumeration of admitted longitudinal wavenumbers, |k_i| <= w/c."""
     k = omega / C_LIGHT
@@ -260,6 +270,119 @@ def test_rod_grid_equals_per_sample_evaluation():
     assert refused >= 5
 
 
+def own_cap(omega, guard=1e-9):
+    """The table cap a rod_density call at omega asks for."""
+    return omega / C_LIGHT * (1.0 + 4.0 * max(guard, 1e-9))
+
+
+def parent_rod_density(omega, T, rod, bc):
+    """rod_density through a table of the call's own cap, as when none is kept."""
+    from cavityrad.slab_rod import _rod_density_grid
+
+    values, singular = _rod_density_grid(np.array([omega]), T, rod, bc)
+    if singular:
+        raise singular[0]
+    return float(values[0])
+
+
+def test_kept_table_gives_every_value_of_a_table_per_call():
+    # geometries interleaved in runs of 7 calls, a swapped L1/L2 pair among
+    # them; ascending, descending and shuffled omegas
+    from cavityrad import slab_rod
+
+    L = 2e-5
+    rods = [RodGeometry(L, L), RodGeometry(L, 0.75 * L), RodGeometry(0.75 * L, L)]
+    grid = np.linspace(0.0, 10.0 * 2.0 * math.pi * C_LIGHT / L, 101).tolist()
+    shuffled = list(grid)
+    np.random.default_rng(5).shuffle(shuffled)
+    hits = refused = 0
+    for omegas in (grid, grid[::-1], shuffled):
+        for start in range(0, len(omegas), 7):
+            for rod in rods:
+                for bc in BCS:
+                    for w in omegas[start:start + 7]:
+                        kept = slab_rod._kept
+                        hits += (kept is not None and kept[:3] == (rod.L1, rod.L2, bc)
+                                 and kept[3] >= own_cap(w))
+                        expected = per_sample_rod_density(w, 300.0, rod, bc)
+                        if expected is None:
+                            refused += 1
+                            with pytest.raises(ThresholdSingularityError) as err:
+                                rod_density(w, 300.0, rod, bc)
+                            with pytest.raises(ThresholdSingularityError) as parent:
+                                parent_rod_density(w, 300.0, rod, bc)
+                            assert err.value.mode == parent.value.mode, (rod, bc, w)
+                        else:
+                            assert rod_density(w, 300.0, rod, bc) == expected, (rod, bc, w)
+    assert hits > 1000 and refused >= 30
+
+
+def test_rod_density_threshold_guard_validated():
+    rod, bc, omega = RodGeometry(2e-5, 1.5e-5), BoundaryCondition.DIRICHLET, 5e14
+    for guard in (math.nan, math.inf, -1e-9, 1.0, True):
+        with pytest.raises(ValueError, match="threshold_guard must be finite"):
+            rod_density(omega, 300.0, rod, bc, threshold_guard=guard)
+    assert rod_density(omega, 300.0, rod, bc) == per_sample_rod_density(omega, 300.0, rod, bc)
+    assert (rod_density(omega, 300.0, rod, bc, threshold_guard=0.0)
+            == per_sample_rod_density(omega, 300.0, rod, bc, guard=0.0))
+
+
+def required_entries(rod, bc, k_cap):
+    """The bounding-box count the table cap compares with MAX_ROD_TABLE."""
+    from cavityrad.geometry import lattice_axes
+
+    with pytest.raises(ResourceLimitError) as err:
+        lattice_axes((rod.L1, rod.L2), bc, k_cap, 0, "transverse modes")
+    return err.value.required
+
+
+def test_doubled_cap_over_the_limit_builds_at_the_own_cap(monkeypatch):
+    from cavityrad import slab_rod
+
+    rod, bc, omega = RodGeometry(2e-5, 1.5e-5), BoundaryCondition.ANTIPERIODIC, 5e14
+    rod_density(omega, 300.0, rod, bc)
+    limit = required_entries(rod, bc, own_cap(1.2 * omega))
+    assert required_entries(rod, bc, 2.0 * own_cap(omega)) > limit
+    monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", limit)
+    value = rod_density(1.2 * omega, 300.0, rod, bc)
+    assert value == per_sample_rod_density(1.2 * omega, 300.0, rod, bc)
+    assert slab_rod._kept[3] == own_cap(1.2 * omega)
+
+
+def test_own_cap_over_the_limit_refuses_with_the_parent_count(monkeypatch):
+    from cavityrad import slab_rod
+
+    rod, bc, omega = RodGeometry(2e-5, 1.5e-5), BoundaryCondition.PERIODIC, 5e14
+    rod_density(omega, 300.0, rod, bc)
+    monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", required_entries(rod, bc, own_cap(omega)))
+    with pytest.raises(ResourceLimitError) as parent:
+        parent_rod_density(1.5 * omega, 300.0, rod, bc)
+    with pytest.raises(ResourceLimitError, match="transverse modes") as err:
+        rod_density(1.5 * omega, 300.0, rod, bc)
+    assert err.value.required == parent.value.required
+    assert err.value.required == required_entries(rod, bc, own_cap(1.5 * omega))
+    assert slab_rod._kept is None
+
+
+def test_singular_sample_after_a_growth_names_the_parent_mode(monkeypatch):
+    # at the cap edge of test_singular_sample_at_the_cap_edge_names_its_mode:
+    # the grown table (1.0006 x the own cap) still has 83 x 83 labels
+    from cavityrad import slab_rod
+
+    L, bc = 2e-5, BoundaryCondition.PERIODIC
+    rod = RodGeometry(L, L)
+    omega = 2.0 * math.pi * C_LIGHT * math.sqrt(1597.0) / L  # on mode (34, 21)
+    monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", 6889)
+    rod_density(0.5003 * omega, 300.0, rod, bc)
+    with pytest.raises(ThresholdSingularityError) as err:
+        rod_density(omega, 300.0, rod, bc)
+    assert slab_rod._kept[3] > own_cap(omega)  # grown past the call's own cap
+    with pytest.raises(ThresholdSingularityError) as parent:
+        parent_rod_density(omega, 300.0, rod, bc)
+    assert err.value.mode == parent.value.mode
+    assert sum(n * n for n in err.value.mode) == 1597
+
+
 def test_rod_density_nonnegative_random():
     rng = np.random.default_rng(23)
     rod = RodGeometry(2e-5, 1.5e-5)
@@ -379,22 +502,74 @@ def test_rod_sum_adds_no_peak_memory_to_the_table():
     assert peak(lambda: rod_density(omega, 300.0, rod, bc)) <= 1.05 * table
 
 
-def test_rod_tables_are_not_kept_between_calls():
+def held_bytes(*steps):
+    """Bytes still allocated after each step, all steps traced in one tracemalloc run."""
     import tracemalloc
 
-    rod = RodGeometry(1e-3, 1e-3)
+    held = []
     tracemalloc.start()
     try:
         before, _ = tracemalloc.get_traced_memory()
-        for w in np.linspace(1e13, 1e15, 40).tolist():
-            try:
-                rod_density(w, 300.0, rod, BoundaryCondition.PERIODIC)
-            except ThresholdSingularityError:
-                pass
-        held = tracemalloc.get_traced_memory()[0] - before
+        for step in steps:
+            step()
+            held.append(tracemalloc.get_traced_memory()[0] - before)
     finally:
         tracemalloc.stop()
+    return held
+
+
+def test_rod_density_keeps_one_table_of_the_last_geometry():
+    from cavityrad import slab_rod
+    from cavityrad.slab_rod import THRESHOLD_GUARD, _transverse_k2
+
+    rod, bc = RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC
+    omegas = np.linspace(1e13, 1e15, 40).tolist()
+    last_cap = omegas[-1] / C_LIGHT * (1.0 + 4.0 * THRESHOLD_GUARD)
+    own = _transverse_k2(rod, bc, last_cap).nbytes
+    bound = _transverse_k2(rod, bc, 2.0 * last_cap).nbytes  # one table at twice the cap
+
+    def sweep():
+        for w in omegas:
+            try:
+                rod_density(w, 300.0, rod, bc)
+            except ThresholdSingularityError:
+                pass
+        assert slab_rod._kept[:3] == (rod.L1, rod.L2, bc)
+        assert last_cap <= slab_rod._kept[3] <= 2.0 * last_cap
+
+    other = RodGeometry(1e-5, 1e-5)
+    held, released = held_bytes(sweep, lambda: rod_density(1e15, 300.0, other, bc))
+    assert own <= held <= bound + 10**4
+    # a call on another geometry releases it
+    assert slab_rod._kept[:3] == (other.L1, other.L2, bc)
+    assert released < 10**6
+
+
+def cli_rod_grid():
+    from cavityrad.cli import _build_config, compute
+
+    compute(_build_config([("geometry", "rod"), ("bc", "periodic"), ("lengths", "1e-3,1e-3"),
+                           ("temperature", "300"), ("omega-max", "1e15"), ("samples", "40")]))
+
+
+# the rod paths besides rod_density build a table per call and keep none
+UNKEPT_ROD_TABLES = {
+    "rod_window_average": lambda: [rod_window_average(w, 300.0, RodGeometry(1e-3, 1e-3),
+                                                      BoundaryCondition.PERIODIC)
+                                   for w in (3e14, 4e14, 5e14)],
+    "rod_threshold_frequencies": lambda: [rod_threshold_frequencies(
+        RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC, w) for w in (2e14, 6e14, 1e15)],
+    "cli grid": cli_rod_grid,
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNKEPT_ROD_TABLES))
+def test_other_rod_paths_keep_no_table(name):
+    from cavityrad import slab_rod
+
+    [held] = held_bytes(UNKEPT_ROD_TABLES[name])
     assert held < 10**6
+    assert slab_rod._kept is None
 
 
 @pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (2e-5, 1.5e-5)])

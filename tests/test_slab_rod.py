@@ -275,8 +275,8 @@ def own_cap(omega, guard=1e-9):
     return omega / C_LIGHT * (1.0 + 4.0 * max(guard, 1e-9))
 
 
-def parent_rod_density(omega, T, rod, bc):
-    """rod_density through a table of the call's own cap, as when none is kept."""
+def own_table_rod_density(omega, T, rod, bc):
+    """rod_density through a table of the call's own cap, as with nothing kept."""
     from cavityrad.slab_rod import _rod_density_grid
 
     values, singular = _rod_density_grid(np.array([omega]), T, rod, bc)
@@ -309,9 +309,9 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
                             refused += 1
                             with pytest.raises(ThresholdSingularityError) as err:
                                 rod_density(w, 300.0, rod, bc)
-                            with pytest.raises(ThresholdSingularityError) as parent:
-                                parent_rod_density(w, 300.0, rod, bc)
-                            assert err.value.mode == parent.value.mode, (rod, bc, w)
+                            with pytest.raises(ThresholdSingularityError) as own:
+                                own_table_rod_density(w, 300.0, rod, bc)
+                            assert err.value.mode == own.value.mode, (rod, bc, w)
                         else:
                             assert rod_density(w, 300.0, rod, bc) == expected, (rod, bc, w)
     assert hits > 1000 and refused >= 30
@@ -349,22 +349,22 @@ def test_doubled_cap_over_the_limit_builds_at_the_own_cap(monkeypatch):
     assert slab_rod._kept[3] == own_cap(1.2 * omega)
 
 
-def test_own_cap_over_the_limit_refuses_with_the_parent_count(monkeypatch):
+def test_own_cap_over_the_limit_refuses_with_its_own_count(monkeypatch):
     from cavityrad import slab_rod
 
     rod, bc, omega = RodGeometry(2e-5, 1.5e-5), BoundaryCondition.PERIODIC, 5e14
     rod_density(omega, 300.0, rod, bc)
     monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", required_entries(rod, bc, own_cap(omega)))
-    with pytest.raises(ResourceLimitError) as parent:
-        parent_rod_density(1.5 * omega, 300.0, rod, bc)
+    with pytest.raises(ResourceLimitError) as own:
+        own_table_rod_density(1.5 * omega, 300.0, rod, bc)
     with pytest.raises(ResourceLimitError, match="transverse modes") as err:
         rod_density(1.5 * omega, 300.0, rod, bc)
-    assert err.value.required == parent.value.required
+    assert err.value.required == own.value.required
     assert err.value.required == required_entries(rod, bc, own_cap(1.5 * omega))
     assert slab_rod._kept is None
 
 
-def test_singular_sample_after_a_growth_names_the_parent_mode(monkeypatch):
+def test_singular_sample_after_a_growth_names_its_own_mode(monkeypatch):
     # at the cap edge of test_singular_sample_at_the_cap_edge_names_its_mode:
     # the grown table (1.0006 x the own cap) still has 83 x 83 labels
     from cavityrad import slab_rod
@@ -377,9 +377,9 @@ def test_singular_sample_after_a_growth_names_the_parent_mode(monkeypatch):
     with pytest.raises(ThresholdSingularityError) as err:
         rod_density(omega, 300.0, rod, bc)
     assert slab_rod._kept[3] > own_cap(omega)  # grown past the call's own cap
-    with pytest.raises(ThresholdSingularityError) as parent:
-        parent_rod_density(omega, 300.0, rod, bc)
-    assert err.value.mode == parent.value.mode
+    with pytest.raises(ThresholdSingularityError) as own:
+        own_table_rod_density(omega, 300.0, rod, bc)
+    assert err.value.mode == own.value.mode
     assert sum(n * n for n in err.value.mode) == 1597
 
 
@@ -520,11 +520,11 @@ def held_bytes(*steps):
 
 def test_rod_density_keeps_one_table_of_the_last_geometry():
     from cavityrad import slab_rod
-    from cavityrad.slab_rod import THRESHOLD_GUARD, _transverse_k2
+    from cavityrad.slab_rod import _transverse_k2
 
     rod, bc = RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC
     omegas = np.linspace(1e13, 1e15, 40).tolist()
-    last_cap = omegas[-1] / C_LIGHT * (1.0 + 4.0 * THRESHOLD_GUARD)
+    last_cap = own_cap(omegas[-1])
     own = _transverse_k2(rod, bc, last_cap).nbytes
     bound = _transverse_k2(rod, bc, 2.0 * last_cap).nbytes  # one table at twice the cap
 

@@ -223,6 +223,19 @@ def test_mixed_parity_counts_equal_the_full_convolution(bc):
     np.testing.assert_array_equal(r3, full)
 
 
+def test_pair_counts_fold_signs_and_repeated_labels():
+    from cavityrad.binned import _pair_counts
+
+    cap = 5_000
+    for j in (np.arange(-60, 61), np.array([0, 0, 3, -3, 3, 7, -11, 50]), np.arange(1, 80)):
+        sums = (j[:, None] ** 2 + j[None, :] ** 2).ravel()
+        for shift in (0, 3):
+            direct = np.bincount(sums[sums <= cap] >> shift, minlength=(cap >> shift) + 1)
+            counts = _pair_counts(j, cap, shift)
+            assert counts.dtype == np.int64
+            np.testing.assert_array_equal(counts, direct)
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 def test_cube_bins_do_not_depend_on_the_norm_block(bc, monkeypatch):
     from cavityrad import binned
@@ -267,9 +280,10 @@ def test_cube_ffts_are_about_a_quarter_of_m_max_long(bc, monkeypatch):
     if bc is BoundaryCondition.ANTIPERIODIC:
         assert lengths == [expected, expected]
     else:
-        # the halved labels repeat the step on m_max/4, with shorter FFTs
-        assert lengths[0] == expected and lengths == sorted(lengths, reverse=True)
-        assert expected / 5 < max(n for n in lengths if n < expected) <= expected / 4 + 1
+        # the halved labels are the labels themselves, so r3[4t] is copied
+        # from r3[t] and no shorter FFT runs; classes 2 and 6, and 1 and 5,
+        # share one transform each: odd pairs, even squares, odd squares, even pairs
+        assert lengths == [expected] * 4
 
 
 def test_convolution_exactness_failure_raises_and_exits_4(monkeypatch, capsys):

@@ -81,10 +81,10 @@ def _bin_layout(omega_max, delta_omega, volume):
     return int(math.ceil(q)), True  # last bin padded past omega_max
 
 
-def _bin_energies(omegas, multiplicities, T, delta_omega, n_bins):
-    """Each mode's bin index and thermal energy."""
-    idx = np.minimum((omegas / delta_omega).astype(np.int64), n_bins - 1)
-    return idx, multiplicities * mean_oscillator_energy(omegas, T)
+def _bin_into(energy_sums, omegas, multiplicities, T, delta_omega):
+    """Add each mode's thermal energy to its bin of energy_sums, in mode order."""
+    idx = np.minimum((omegas / delta_omega).astype(np.int64), energy_sums.size - 1)
+    np.add.at(energy_sums, idx, multiplicities * mean_oscillator_energy(omegas, T))
 
 
 def _spectrum(energy_sums, delta_omega, volume, layout):
@@ -98,16 +98,12 @@ def _spectrum(energy_sums, delta_omega, volume, layout):
     )
 
 
-def _bin(omegas, multiplicities, T, delta_omega, volume, layout):
-    idx, energy = _bin_energies(omegas, multiplicities, T, delta_omega, layout[0])
-    return _spectrum(np.bincount(idx, weights=energy, minlength=layout[0]), delta_omega,
-                     volume, layout)
-
-
 def binned_density(modes: ModeList, T, delta_omega, volume):
     """Binned spectral density of a ModeList, J s/(rad m^3) per bin."""
-    return _bin(modes.omegas, modes.multiplicities, T, delta_omega, volume,
-                _bin_layout(modes.omega_max, delta_omega, volume))
+    layout = _bin_layout(modes.omega_max, delta_omega, volume)
+    energy_sums = np.zeros(layout[0])
+    _bin_into(energy_sums, modes.omegas, modes.multiplicities, T, delta_omega)
+    return _spectrum(energy_sums, delta_omega, volume, layout)
 
 
 def _fast_len(n):
@@ -295,17 +291,15 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     layout = _bin_layout(omega_max, delta_omega, volume)
     _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
     r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
-    # binned a block of norms at a time; np.add.at adds each mode's energy in
-    # norm order, the order of one bincount over all norms, so no bin sum changes
+    # binned a block of norms at a time, in norm order; the loop runs at least
+    # once, so T is checked even when no norm lies below the cutoff
     energy_sums = np.zeros(layout[0])
-    for lo in range(1, m_max + 1, NORM_BLOCK):       # periodic zero mode excluded
+    for lo in range(1, max(m_max, 1) + 1, NORM_BLOCK):  # periodic zero mode excluded
         block = r3[lo:lo + NORM_BLOCK]
         m = np.flatnonzero(block)
         om = unit * np.sqrt((m + lo).astype(float))
         keep = om <= omega_max
-        idx, energy = _bin_energies(om[keep], 2 * block[m[keep]], T, delta_omega,
-                                    layout[0])      # 2 polarizations
-        np.add.at(energy_sums, idx, energy)
+        _bin_into(energy_sums, om[keep], 2 * block[m[keep]], T, delta_omega)  # 2 polarizations
     return _spectrum(energy_sums, delta_omega, volume, layout)
 
 

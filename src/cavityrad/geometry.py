@@ -89,7 +89,8 @@ def axis_wavenumbers(L, bc, m):
     period, offset, two_sided = quantization(bc)
     m = int(m)
     n = np.arange(label_count(m, bc)) + (-m if two_sided else 1)  # from the first label
-    return period * (n + offset) / L, n
+    with np.errstate(over="ignore"):  # an infinite k is never admitted
+        return period * (n + offset) / L, n
 
 
 def disc_sums(axes, cap, weights=None):

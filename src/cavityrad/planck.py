@@ -74,15 +74,16 @@ def mean_oscillator_energy(omega, T):
     Returns
     -------
     float or ndarray
-        hbar*omega / (exp(hbar*omega/(k_B T)) - 1) in J; the omega -> 0
-        limit k_B*T is returned at omega = 0.
+        hbar*omega / (exp(hbar*omega/(k_B T)) - 1) in J; the x -> 0 limit
+        k_B*T is returned where x = hbar*omega/(k_B T) is 0 or below ~5.6e-309.
     """
     omega, T = _validate(omega, T)
-    x = HBAR * omega / (K_B * T)
-    # exp(-x)/(1 - exp(-x)) is stable for every x > 0, unlike 1/expm1(x)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # exp(-x)/(1 - exp(-x)) is stable for every x > 0, unlike 1/expm1(x); it
+    # overflows for those x, and is nan at 0/0 (k_B*T underflows at omega = 0)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = HBAR * omega / (K_B * T)
         occ = np.exp(-x) / (-np.expm1(-x))
-        out = np.where(x > 0.0, HBAR * omega * occ, K_B * T)
+        out = np.where(np.isfinite(occ), HBAR * omega * occ, K_B * T)
     return float(out) if out.ndim == 0 else out
 
 

@@ -39,11 +39,11 @@ THRESHOLD_GUARD = 1e-9
 #: cap on the entries of one transverse k^2 table; more raises
 #: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
 #: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
-#: rod_density keeps the last geometry's table, of at most this many entries,
-#: between calls; a growing call may build up to 4x the entries it needs.
+#: rod_density and the CLI grid keep the last geometry's table between calls;
+#: a growing call may build up to 4x the entries it needs.
 MAX_ROD_TABLE = 5 * 10**7
 
-#: rod_density's kept table (L1, L2, bc, k_cap, sorted k^2), or None
+#: the kept table (L1, L2, bc, k_cap, sorted k^2) of _rod_density_grid, or None
 _kept = None
 
 
@@ -100,7 +100,7 @@ def _transverse_k2(geom, bc, k_cap):
 
 
 def _kept_k2(geom, bc, k_cap):
-    """_transverse_k2 through rod_density's kept table, grown on a miss.
+    """_transverse_k2 through the kept table, grown on a miss.
 
     Any table at a cap >= k_cap holds the same sorted prefix below k_cap. A miss
     builds at max(k_cap, 2 x the kept cap) on the kept geometry, else at k_cap."""
@@ -158,21 +158,17 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     message = "threshold_guard must be finite, >= 0 and < 1"
     if not finite_real(threshold_guard, message, inclusive=True) < 1.0:
         raise ValueError(message)
-    if omega == 0.0:
-        return 0.0
-    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc,
-                                         float(threshold_guard), _kept_k2)
+    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc, float(threshold_guard))
     if singular:
         raise singular[0]
     return float(values[0])
 
 
-def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD,
-                      table=_transverse_k2):
+def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
     """Rod density at every omega of a 1-D array of finite omegas >= 0.
 
-    All samples share one sorted transverse table, table(geom, bc, k_cap)
-    for the largest omega, and one mean_oscillator_energy call. Returns the
+    All samples share one sorted transverse table, the kept table covering
+    the largest omega, and one mean_oscillator_energy call. Returns the
     densities and a dict from the index of each sample inside a guard window
     to its ThresholdSingularityError; those samples hold nan. Each value is
     the one a table sized to its own omega gives, bit for bit: the entries
@@ -181,7 +177,7 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD,
     """
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
-    s = table(geom, bc, k_cap)
+    s = _kept_k2(geom, bc, k_cap)
     k2 = k * k
     n = s.searchsorted(k2)  # admitted modes: s < k^2
     singular = {}

@@ -48,6 +48,33 @@ def test_empty_modelist_gives_zero_bins():
     assert not spec.last_bin_partial
 
 
+def bincount_u(modes, T, delta_omega, volume, n_bins):
+    """Reference bins: one np.bincount of every mode's thermal energy."""
+    idx = np.minimum((modes.omegas / delta_omega).astype(np.int64), n_bins - 1)
+    energy = modes.multiplicities * mean_oscillator_energy(modes.omegas, T)
+    return np.bincount(idx, weights=energy, minlength=n_bins) / (volume * delta_omega)
+
+
+def test_bins_equal_one_bincount_bit_for_bit():
+    box = BoxGeometry(2e-4, 1e-4, 1.5e-4)
+    cases = [(enumerate_box_modes(box, bc, 1e15), box.volume) for bc in BoundaryCondition]
+    sphere = SphereGeometry(5e-5)
+    cases.append((enumerate_sphere_modes(sphere, 6e14), sphere.volume))
+    for modes, volume in cases:
+        for T, dw in ((300.0, 1e13), (3000.0, 3.7e12)):
+            spec = binned_density(modes, T, dw, volume)
+            assert np.array_equal(spec.u, bincount_u(modes, T, dw, volume, spec.n_bins))
+
+
+@pytest.mark.parametrize("T", [math.nan, -5.0, 0.0])
+def test_cube_with_no_norm_below_the_cutoff_checks_the_temperature(T):
+    empty = ModeList(np.empty(0), np.empty(0, dtype=np.int64), 1e13)
+    with pytest.raises(ValueError) as want:
+        binned_density(empty, T, 1e13, 1e-18)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        cube_binned_density(1e-6, BoundaryCondition.PERIODIC, T, 1e13, 1e13)
+
+
 def test_single_mode_bin_value():
     w0, mult, V, dw = 3.7e13, 6, 2e-15, 1e13
     modes = ModeList(np.array([w0]), np.array([mult], dtype=np.int64), 1e14)

@@ -3,6 +3,7 @@ filter, and the bounding-box refusal of lattice_axes."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cavityrad import BoundaryCondition, ResourceLimitError
-from cavityrad.geometry import disc_sums, lattice_axes
+from cavityrad.geometry import axis_wavenumbers, disc_sums, lattice_axes
 
 FLOATS = st.one_of(st.floats(min_value=-1e3, max_value=1e3),
                    st.sampled_from([0.0, -0.0, 1e200, -1e200]))
@@ -109,3 +110,11 @@ def test_lattice_axes_refuses_before_allocation(bc):
         tracemalloc.stop()
     assert err.value.required >= 1e12
     assert peak < 10**6
+
+
+def test_axis_wavenumbers_of_a_tiny_length_overflow_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k, n = axis_wavenumbers(5e-324, BoundaryCondition.PERIODIC, 2)
+    assert np.array_equal(n, [-2, -1, 0, 1, 2])
+    assert np.array_equal(k, [-math.inf, -math.inf, 0.0, math.inf, math.inf])

@@ -2,6 +2,7 @@
 closed-form totals, and the scaling/monotonicity invariants."""
 
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -74,6 +75,16 @@ def test_mean_oscillator_energy_no_overflow_deep_wien():
     # far Wien tail: naive 1/(e^x - 1) would overflow at x ~ 1e4
     assert mean_oscillator_energy(1e18, 3.0) == 0.0
     assert mean_oscillator_energy(5e15, 300.0) > 0.0
+
+
+def test_mean_oscillator_energy_at_extreme_temperatures():
+    # a subnormal x = hbar*omega/(k_B T) gives the limit k_B*T, not inf; where
+    # k_B*T underflows to 0 every energy is 0; neither warns
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert mean_oscillator_energy(1.0, 1e300) == K_B * 1e300
+        assert math.isfinite(planck_density(4.0, 1e300))
+        assert np.array_equal(mean_oscillator_energy([0.0, 1.0, 1e15], 5e-324), [0.0] * 3)
 
 
 def test_planck_density_zero_at_origin():

@@ -2,6 +2,7 @@
 large-size convergence, and the transverse mode machinery."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -276,13 +277,15 @@ def own_cap(omega, guard=1e-9):
 
 
 def own_table_rod_density(omega, T, rod, bc):
-    """rod_density through a table of the call's own cap, as with nothing kept."""
-    from cavityrad.slab_rod import _rod_density_grid
+    """rod_density through a table of the call's own cap, as with nothing kept;
+    the kept table is put back afterwards."""
+    from cavityrad import slab_rod
 
-    values, singular = _rod_density_grid(np.array([omega]), T, rod, bc)
-    if singular:
-        raise singular[0]
-    return float(values[0])
+    kept, slab_rod._kept = slab_rod._kept, None
+    try:
+        return rod_density(omega, T, rod, bc)
+    finally:
+        slab_rod._kept = kept
 
 
 def test_kept_table_gives_every_value_of_a_table_per_call():
@@ -315,6 +318,18 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
                         else:
                             assert rod_density(w, 300.0, rod, bc) == expected, (rod, bc, w)
     assert hits > 1000 and refused >= 30
+
+
+@pytest.mark.parametrize("lengths", [(1e-3, 1e-3), (7.5e-4, 5e-4)])
+def test_rod_density_at_omega_zero_is_zero_and_checks_the_temperature(lengths):
+    rod = RodGeometry(*lengths)
+    for bc in BCS:
+        assert rod_density(0.0, 300.0, rod, bc) == 0.0
+        for T in (math.nan, -5.0, 0.0):
+            with pytest.raises(ValueError) as want:
+                mean_oscillator_energy(1.0, T)
+            with pytest.raises(ValueError, match=re.escape(str(want.value))):
+                rod_density(0.0, T, rod, bc)
 
 
 def test_rod_density_threshold_guard_validated():
@@ -545,21 +560,45 @@ def test_rod_density_keeps_one_table_of_the_last_geometry():
     assert released < 10**6
 
 
-def cli_rod_grid():
+def cli_rod_grid(lengths):
     from cavityrad.cli import _build_config, compute
 
-    compute(_build_config([("geometry", "rod"), ("bc", "periodic"), ("lengths", "1e-3,1e-3"),
+    compute(_build_config([("geometry", "rod"), ("bc", "periodic"), ("lengths", lengths),
                            ("temperature", "300"), ("omega-max", "1e15"), ("samples", "40")]))
 
 
-# the rod paths besides rod_density build a table per call and keep none
+def test_cli_grid_shares_the_kept_table(monkeypatch):
+    import weakref
+
+    from cavityrad import slab_rod
+
+    cli_rod_grid("1e-3,1e-3")
+    assert slab_rod._kept[:3] == (1e-3, 1e-3, BoundaryCondition.PERIODIC)
+    table = weakref.ref(slab_rod._kept[4])
+    omega = 7.3e14  # below the grid's 1e15 rad/s and off every threshold
+    expected = per_sample_rod_density(omega, 300.0, RodGeometry(1e-3, 1e-3),
+                                      BoundaryCondition.PERIODIC)
+    built = []
+    transverse_k2 = slab_rod._transverse_k2
+    monkeypatch.setattr(slab_rod, "_transverse_k2",
+                        lambda *args: built.append(args) or transverse_k2(*args))
+    assert rod_density(omega, 300.0, RodGeometry(1e-3, 1e-3),
+                       BoundaryCondition.PERIODIC) == expected
+    assert built == []
+    # a grid on another geometry frees the old table
+    cli_rod_grid("1e-5,1e-5")
+    assert slab_rod._kept[:3] == (1e-5, 1e-5, BoundaryCondition.PERIODIC)
+    assert table() is None
+
+
+# the rod paths besides rod_density and the CLI grid build a table per call
+# and keep none: sharing the slot raised the peak RSS of a library sweep
 UNKEPT_ROD_TABLES = {
     "rod_window_average": lambda: [rod_window_average(w, 300.0, RodGeometry(1e-3, 1e-3),
                                                       BoundaryCondition.PERIODIC)
                                    for w in (3e14, 4e14, 5e14)],
     "rod_threshold_frequencies": lambda: [rod_threshold_frequencies(
         RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC, w) for w in (2e14, 6e14, 1e15)],
-    "cli grid": cli_rod_grid,
 }
 
 

@@ -309,13 +309,15 @@ def weyl_density(omega, T, desc: GeometryDescriptors):
     (hbar w^3/(pi^2 c^3) - (A/V) hbar w^2/(4 pi c^2) + (M/V) hbar w/(3 pi^2 c))
     / (e^{hbar w/k_B T} - 1), written through the mean oscillator energy so
     omega = 0 returns the analytic limit. With A = M = 0 this is exactly the
-    Planck density. Negative values are returned as computed.
+    Planck density. Negative values are returned as computed; where the mean
+    energy is 0 the density is 0.0.
     """
-    omega = np.asarray(omega, dtype=float)
+    energy = mean_oscillator_energy(omega, T)
+    omega = np.where(energy > 0.0, omega, 0.0)  # there the density is 0, as in planck_density
     dos = (
         omega**2 / (math.pi**2 * C_LIGHT**3)
         - (desc.A / desc.V) * omega / (4.0 * math.pi * C_LIGHT**2)
         + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)
     )
-    out = dos * mean_oscillator_energy(omega, T)
+    out = dos * energy
     return float(out) if out.ndim == 0 else out

@@ -10,15 +10,12 @@ Exit codes: 0 success, 2 usage error, 3 resource cap exceeded, 4 a numerical
 self-check failed (a Bessel-zero table that does not interlace, or FFT cube
 counts that are no longer exact integers). Threshold-
 singular rod sample points are emitted with an empty value field plus a
-warning on stderr and do not change the exit status. The environment
-variable CAVITYRAD_THREADS (integer >= 1) caps internal parallelism; the
-numerical kernels are sequential, so any legal value is honoured.
+warning on stderr and do not change the exit status.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass
 
@@ -325,19 +322,6 @@ def _config_lines(text):
     return pairs
 
 
-def _thread_cap():
-    raw = os.environ.get("CAVITYRAD_THREADS")
-    if raw is None:
-        return None
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise UsageError("CAVITYRAD_THREADS must be an integer") from None
-    if cap < 1:
-        raise UsageError("CAVITYRAD_THREADS must be >= 1")
-    return cap
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="cavityrad",
@@ -362,7 +346,6 @@ def build_parser():
 def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
-        _thread_cap()
         return ns.fn(ns)
     except (UsageError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)

@@ -88,9 +88,13 @@ def mean_oscillator_energy(omega, T):
 
 
 def planck_density(omega, T):
-    """Planck spectral energy density of the infinite cavity, J s/(rad m^3)."""
+    """Planck spectral energy density of the infinite cavity, J s/(rad m^3).
+
+    0.0 where the mean oscillator energy is 0, however large omega**2 is."""
     omega, T = _validate(omega, T)
-    out = omega**2 / (math.pi**2 * C_LIGHT**3) * mean_oscillator_energy(omega, T)
+    energy = mean_oscillator_energy(omega, T)
+    omega = np.where(energy > 0.0, omega, 0.0)  # there omega**2 may be inf, and inf * 0 nan
+    out = omega**2 / (math.pi**2 * C_LIGHT**3) * energy
     return float(out) if out.ndim == 0 else out
 
 

@@ -13,6 +13,7 @@ refused rather than returning astronomically large floats).
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -71,12 +72,22 @@ def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
 
 
 def film_density(omega, T, geom: FilmGeometry, bc: BoundaryCondition):
-    """Film spectral energy density, J s/(rad m^3). Vectorized over omega."""
+    """Film spectral energy density, J s/(rad m^3). Vectorized over omega.
+
+    A density beyond the float range raises ValueError."""
     counts = film_mode_count(omega, geom, bc)
     omega = np.asarray(omega, dtype=float)
-    pref = omega * mean_oscillator_energy(omega, T) / (math.pi * C_LIGHT**2 * geom.L1)
-    out = pref * counts
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        out = _finite(omega * mean_oscillator_energy(omega, T)
+                      / (math.pi * C_LIGHT**2 * geom.L1) * counts)
     return float(out) if out.ndim == 0 else out
+
+
+def _finite(density):
+    """density, refused with ValueError if any value left the float range."""
+    if not np.all(np.isfinite(density)):
+        raise ValueError("the density exceeds the float range")
+    return density
 
 
 def _rod_axes(geom, bc, k_cap):
@@ -153,6 +164,8 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     ThresholdSingularityError
         If omega/c lies within the guard window of an admitted or boundary
         mode, where the pointwise density is genuinely unbounded.
+    ValueError
+        If the density exceeds the float range.
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     message = "threshold_guard must be finite, >= 0 and < 1"
@@ -196,7 +209,8 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
         t = np.subtract(kk, s[:m])
         np.sqrt(t, out=t)
         totals.append(float(np.sum(np.divide(1.0, t, out=t))))
-    values = _rod_prefactor(omega, T, geom) * np.array(totals)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        values = _finite(_rod_prefactor(omega, T, geom) * np.array(totals))
     if singular:
         values[list(singular)] = np.nan
     return values, singular
@@ -223,42 +237,35 @@ def rod_threshold_frequencies(geom: RodGeometry, bc: BoundaryCondition, omega_ma
     The periodic (0, 0) mode is admitted from omega = 0+ and contributes no
     positive threshold.
     """
-    return _table_and_thresholds(geom, bc, omega_max)[1]
-
-
-def _table_and_thresholds(geom, bc, omega_max):
-    """The sorted transverse table up to omega_max/c and its distinct thresholds."""
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     s = _transverse_k2(geom, bc, omega_max / C_LIGHT)
     pos = s[s.searchsorted(0.0, side="right"):]  # sorted: distinct = unlike its left neighbour
     w = C_LIGHT * np.sqrt(np.concatenate((pos[:1], pos[1:][pos[1:] != pos[:-1]])))
-    return s, w[w <= omega_max]
+    return w[w <= omega_max]
 
 
 def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     """Average rod density over the inter-threshold interval containing omega.
 
-    The interval [a, b) between two consecutive distinct thresholds contains
-    no singularity in its interior; each mode's 1/sqrt(omega^2/c^2 - s) term
-    is integrated with its exact antiderivative c*ln(omega + sqrt(omega^2 -
-    c^2 s)), and the smooth thermal prefactor is applied piecewise at
-    sub-interval midpoints. omega must lie strictly above the first distinct
-    threshold.
+    The interval [a, b) runs from the largest threshold a <= omega to the
+    smallest threshold b > omega, so its interior holds no singularity. One
+    table covers it: along the longer axis, with the other axis at its
+    smallest |k|, the thresholds start at the first one and rise by at most
+    one step c*period/max(L1, L2), so b <= omega + that step. Each mode's
+    1/sqrt(omega^2/c^2 - s) term is integrated with its exact antiderivative
+    c*ln(omega + sqrt(omega^2 - c^2 s)), and the smooth thermal prefactor is
+    applied piecewise at sub-interval midpoints. omega must lie strictly
+    above the first threshold. An average beyond the float range raises
+    ValueError.
     """
     omega = finite_real(omega, "omega must be finite and > 0")
-    cap = 1.25
-    while True:
-        s, thresholds = _table_and_thresholds(geom, bc, omega * cap)
-        i = int(np.searchsorted(thresholds, omega, side="right"))
-        if i == 0:
-            raise ValueError("omega lies below the first transverse threshold")
-        if i < len(thresholds):
-            break
-        # one axis step, c*period/max(L1, L2) <= 2 * first threshold < 2*omega,
-        # reaches the next threshold, so it lies below 3*omega and cap stops by 5
-        cap *= 2.0
-    a = float(thresholds[i - 1])
-    b = float(thresholds[i])
+    step = C_LIGHT * quantization(bc)[0] / max(geom.L1, geom.L2)
+    s = _transverse_k2(geom, bc, (omega + step) * (1.0 + 1e-9) / C_LIGHT)
+    first = int(s.searchsorted(0.0, side="right"))  # the first positive entry
+    i = bisect.bisect_right(s, omega, lo=first, key=lambda v: C_LIGHT * math.sqrt(v))
+    if i == first:
+        raise ValueError("omega lies below the first transverse threshold")
+    a, b = C_LIGHT * math.sqrt(s[i - 1]), C_LIGHT * math.sqrt(s[i])
     mid_all = 0.5 * (a + b)
     s_adm = s[:s.searchsorted((mid_all / C_LIGHT) ** 2)]  # the sorted entries below it
 
@@ -270,8 +277,9 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     pieces = max(1, math.ceil((b - a) / (1e-3 * mid_all)))
     edges = np.linspace(a, b, pieces + 1)
     total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (lo + hi)
-        total += _rod_prefactor(mid, T, geom) * float(
-            np.sum(antiderivative(hi) - antiderivative(lo)))
-    return total / (b - a)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+        for lo, hi in zip(edges[:-1], edges[1:]):
+            mid = 0.5 * (lo + hi)
+            total += _rod_prefactor(mid, T, geom) * float(
+                np.sum(antiderivative(hi) - antiderivative(lo)))
+        return _finite(total / (b - a))

@@ -415,6 +415,26 @@ def test_weyl_equals_planck_for_degenerate_descriptors():
     assert np.max(np.abs(lhs - rhs)) <= 1e-15 * np.max(rhs)
 
 
+def test_planck_and_weyl_zero_where_the_mean_energy_is_zero():
+    # omega**2 overflows at 5e299 rad/s, where the mean energy is 0; every
+    # other value is the formula's, bit for bit
+    desc = descriptors_for(SphereGeometry(1e-5))
+    w = np.array([0.0, 1e12, 3e14, 5e16, 1e154, 5e299, 1.7e308])
+    energy = mean_oscillator_energy(w, 300.0)
+    assert np.array_equal(energy == 0.0, w >= 5e16)
+    hot = energy > 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        planck = w**2 / (math.pi**2 * C_LIGHT**3) * energy
+        weyl = (w**2 / (math.pi**2 * C_LIGHT**3)
+                - (desc.A / desc.V) * w / (4.0 * math.pi * C_LIGHT**2)
+                + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)) * energy
+    for got, formula in [(planck_density(w, 300.0), planck),
+                         (weyl_density(w, 300.0, desc), weyl)]:
+        assert np.array_equal(got[hot], formula[hot])
+        assert np.array_equal(got[~hot], np.zeros(4)) and not np.signbit(got).any()
+    assert planck_density(5e299, 300.0) == 0.0 == weyl_density(5e299, 300.0, desc)
+
+
 def test_weyl_negative_for_small_sphere():
     desc = descriptors_for(SphereGeometry(1e-5))
     w = np.linspace(1e12, 1e15, 4000)

@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -28,13 +27,11 @@ from cavityrad import (
 )
 
 
-def run_cli(*args, env=None, **kw):
-    """Run the CLI in a subprocess; ``env`` entries are laid over ``os.environ``
-    so the child keeps ``PYTHONPATH`` and can import an uninstalled package."""
-    if env is not None:
-        env = {**os.environ, **env}
-    return subprocess.run([sys.executable, "-m", "cavityrad", *args],
-                          capture_output=True, text=True, env=env, **kw)
+def run_cli(*args):
+    """Run the CLI in a subprocess that fails on any RuntimeWarning, as the
+    in-process tests do."""
+    return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "cavityrad",
+                           *args], capture_output=True, text=True)
 
 
 def read_csv(text):
@@ -422,25 +419,6 @@ def test_figures_3_writes_expected_files(tmp_path):
     assert len(cols["u_J_s_m3"]) == 100
 
 
-def test_thread_cap_env_validated(monkeypatch):
-    # One test id for both refusal branches of cli._thread_cap and the legal
-    # case; argparse's own usage errors also exit 2, so the message and the
-    # empty stdout show that the env check is what refused the run.
-    args = ("modes", "--geometry", "sphere", "--diameter", "1e-5",
-            "--temperature", "300", "--omega-max", "1e15")
-    for raw, message in [("not-a-number", "must be an integer"), ("0", "must be >= 1")]:
-        r = run_cli(*args, env={"CAVITYRAD_THREADS": raw})
-        assert r.returncode == 2, (raw, r.stderr)
-        assert "CAVITYRAD_THREADS " + message in r.stderr, (raw, r.stderr)
-        assert r.stdout == "", raw
-    monkeypatch.delenv("CAVITYRAD_THREADS", raising=False)
-    unset = run_cli(*args)
-    capped = run_cli(*args, env={"CAVITYRAD_THREADS": "2"})
-    assert unset.returncode == 0 and capped.returncode == 0, capped.stderr
-    assert len(unset.stdout.splitlines()) > 1  # header plus modes
-    assert capped.stdout == unset.stdout
-
-
 @pytest.mark.parametrize("flags", [
     ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-3,1e-3,1e-3",
      "--omega-max", "1e25"),
@@ -579,3 +557,34 @@ def test_bin_divisor_beyond_a_float_exit_2(flags):
     assert "volume=" in r.stderr
     assert "Traceback" not in r.stderr and "RuntimeWarning" not in r.stderr
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("flags", [
+    ("--geometry", "film", "--bc", "periodic", "--length", "1e-300", "--omega-max", "1e10"),
+    ("--geometry", "rod", "--bc", "periodic", "--lengths", "1e-100,2e-4", "--omega-max", "1e14"),
+], ids=["film", "rod"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_density_beyond_the_float_range_exit_2(flags, fmt):
+    # a tiny cross-section at a huge temperature: the prefactor overflows
+    r = run_cli("spectrum", *flags, "--temperature", "1e300", "--samples", "3", "--format", fmt)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: the density exceeds the float range\n"
+    assert r.stdout == ""
+
+
+def test_comparison_columns_zero_at_a_huge_bin_center():
+    # at the 5e299 rad/s center omega**2 overflows while the mean energy is 0
+    args = ("spectrum", "--geometry", "box", "--bc", "periodic", "--lengths", "2e-5,2e-5,3e-5",
+            "--temperature", "300", "--omega-max", "1e14", "--delta-omega", "1e300",
+            "--compare", "planck,weyl")
+    r = run_cli(*args)
+    assert r.returncode == 0, r.stderr
+    assert r.stdout.splitlines()[1].split(",")[2:] == ["0.0", "0.0"]
+    r = run_cli(*args, "--format", "json")
+    assert r.returncode == 0, r.stderr
+
+    def refuse(name):
+        raise ValueError(name)
+
+    data = json.loads(r.stdout, parse_constant=refuse)  # NaN and Infinity are not JSON
+    assert [s["values"] for s in data["series"][1:]] == [[0.0], [0.0]]

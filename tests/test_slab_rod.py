@@ -420,24 +420,49 @@ def test_rod_window_average_near_planck():
         assert abs(avg / planck_density(1e14, 300.0) - 1.0) < 0.01
 
 
-def test_rod_window_search_doubles_past_the_first_window(monkeypatch):
+def test_rod_window_builds_one_table_covering_the_next_threshold(monkeypatch):
     from cavityrad import quadrature_total_energy, slab_rod
 
-    # periodic square rod: t2 = sqrt(2)*t1 lies beyond the first window 1.25*omega
+    # periodic square rod: t2 = sqrt(2)*t1 lies one axis step past t1 at most
     L, T, bc = 1e-5, 300.0, BoundaryCondition.PERIODIC
     rod = RodGeometry(L, L)
     t1 = 2.0 * math.pi * C_LIGHT / L
     t2 = math.sqrt(2.0) * t1
-    windows = []
-    search = slab_rod._table_and_thresholds
-    monkeypatch.setattr(slab_rod, "_table_and_thresholds",
-                        lambda g, b, w: windows.append(w) or search(g, b, w))
+    caps = []
+    transverse_k2 = slab_rod._transverse_k2
+    monkeypatch.setattr(slab_rod, "_transverse_k2",
+                        lambda g, b, k: caps.append(k) or transverse_k2(g, b, k))
     avg = rod_window_average(1.1 * t1, T, rod, bc)
-    assert len(windows) == 2 and windows[0] < t2 < windows[1]
+    assert len(caps) == 1 and C_LIGHT * caps[0] > t2
     fn = lambda w: rod_density(w, T, rod, bc, threshold_guard=0.0)
     integral = (quadrature_total_energy(fn, t2, thresholds=[t1], rel_tol=1e-9)
                 - quadrature_total_energy(fn, t1, rel_tol=1e-9))
     assert avg == pytest.approx(integral / (t2 - t1), rel=1e-4)
+
+
+# commensurate, square, near-square and flat rods: windows on thresholds
+WINDOW_RODS = [(1e-3, 5e-4), (1e-3, 1e-3), (7.5e-4, 5e-4), (1e-3, 1.0001e-3),
+               (1e-5, 1e-5), (2e-5, 1.5e-5), (3e-4, 1e-5)]
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_rod_window_equals_one_from_a_table_at_five_omega(bc, monkeypatch):
+    # the window's table stops one axis step above omega; any larger table
+    # holds the same thresholds and prefix below it, so the value is the same
+    from cavityrad import slab_rod
+
+    transverse_k2 = slab_rod._transverse_k2
+    for lengths in WINDOW_RODS:
+        rod = RodGeometry(*lengths)
+        th = rod_threshold_frequencies(rod, bc, 20.0 * math.pi * C_LIGHT / min(lengths))
+        with pytest.raises(ValueError, match="below the first transverse threshold"):
+            rod_window_average(0.5 * th[0], 300.0, rod, bc)
+        for omega in th[[0, 1, 2, len(th) // 2, -2]].tolist():
+            value = rod_window_average(omega, 300.0, rod, bc)
+            with monkeypatch.context() as m:
+                m.setattr(slab_rod, "_transverse_k2",
+                          lambda g, b, k: transverse_k2(g, b, 5.0 * omega / C_LIGHT))
+                assert rod_window_average(omega, 300.0, rod, bc) == value, (lengths, omega)
 
 
 def test_rod_window_below_the_first_threshold_refused():
@@ -647,6 +672,32 @@ def test_singular_sample_at_the_cap_edge_names_its_mode(monkeypatch):
 
 
 def test_rod_window_average_refuses_a_window_beyond_the_float_range():
-    # omega itself is finite, but the first search window omega*1.25 is not
-    with pytest.raises(ValueError, match="omega_max must be finite and > 0"):
-        rod_window_average(1.7e308, 300.0, RodGeometry(1e-3, 5e-4), BoundaryCondition.PERIODIC)
+    # omega itself is finite, but its table needs more modes than a float holds
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="needs inf transverse modes"):
+            rod_window_average(1.7e308, 300.0, RodGeometry(1e-3, 5e-4),
+                               BoundaryCondition.PERIODIC)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+
+
+# a tiny film or rod at a huge temperature: the prefactor overflows
+OVERFLOWING_DENSITIES = {
+    "film_density": lambda: film_density(np.array([0.0, 5e9, 1e10]), 1e300,
+                                         FilmGeometry(1e-300), BoundaryCondition.PERIODIC),
+    "rod_density": lambda: rod_density(1e14, 1e300, RodGeometry(1e-100, 2e-4),
+                                       BoundaryCondition.PERIODIC),
+    "rod_window_average": lambda: rod_window_average(3e14, 1e300, RodGeometry(1e-100, 2e-4),
+                                                     BoundaryCondition.PERIODIC),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWING_DENSITIES))
+def test_density_beyond_the_float_range_refused(name):
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        OVERFLOWING_DENSITIES[name]()

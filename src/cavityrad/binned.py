@@ -15,6 +15,7 @@ cavity sizes are a physical finding, not a numerical artifact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,7 @@ from .geometry import (CUT_MARGIN, BoundaryCondition, GeometryDescriptors, axis_
                        disc_sums, quantization)
 from .modes import ModeList
 from .planck import mean_oscillator_energy
-from .validate import finite_real
+from .validate import finite_density, finite_real
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density",
            "MAX_BINS", "MAX_CUBE_NORMS"]
@@ -268,6 +269,20 @@ def _norm_bound(omega_max, unit):
     return int(m)
 
 
+@functools.lru_cache(maxsize=1)
+def _cube_counts(side, bc, m_max):
+    """r3[m] of a cube's labels for m <= m_max, read-only, in the smallest
+    unsigned dtype that holds them (uint16 for the 1 cm cubes, at most uint32
+    below MAX_CUBE_NORMS). The last cube's counts stay in this one slot."""
+    _, offset, _ = quantization(bc)
+    scale = 2 if offset else 1
+    _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
+    r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
+    counts = r3.astype(np.min_scalar_type(r3.max()))
+    counts.flags.writeable = False
+    return counts
+
+
 def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     """Binned spectrum of a cube via exact integer-lattice multiplicities.
 
@@ -278,7 +293,9 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     ~1e-14 relative (unit*sqrt(m) rounds differently from the scan's c*|k|),
     but stays cheap for desk-scale cavities as large as centimeters. More
     than MAX_CUBE_NORMS integer norms, or more than MAX_BINS bins, raise
-    ResourceLimitError before the norm arrays exist.
+    ResourceLimitError before the norm arrays exist. The counts of the last
+    (side, bc, norm bound) are kept, so a call on the same cube at another
+    T or bin width skips the convolution and only bins them.
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
@@ -289,8 +306,7 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)
-    _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
-    r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
+    r3 = _cube_counts(side, bc, m_max)
     # binned a block of norms at a time, in norm order; the loop runs at least
     # once, so T is checked even when no norm lies below the cutoff
     energy_sums = np.zeros(layout[0])
@@ -299,7 +315,8 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
         m = np.flatnonzero(block)
         om = unit * np.sqrt((m + lo).astype(float))
         keep = om <= omega_max
-        _bin_into(energy_sums, om[keep], 2 * block[m[keep]], T, delta_omega)  # 2 polarizations
+        # 2 polarizations, doubled in int64 so a narrow count cannot overflow
+        _bin_into(energy_sums, om[keep], 2 * block[m[keep]].astype(np.int64), T, delta_omega)
     return _spectrum(energy_sums, delta_omega, volume, layout)
 
 
@@ -310,14 +327,16 @@ def weyl_density(omega, T, desc: GeometryDescriptors):
     / (e^{hbar w/k_B T} - 1), written through the mean oscillator energy so
     omega = 0 returns the analytic limit. With A = M = 0 this is exactly the
     Planck density. Negative values are returned as computed; where the mean
-    energy is 0 the density is 0.0.
+    energy is 0 the density is 0.0. A density beyond the float range raises
+    ValueError.
     """
     energy = mean_oscillator_energy(omega, T)
     omega = np.where(energy > 0.0, omega, 0.0)  # there the density is 0, as in planck_density
-    dos = (
-        omega**2 / (math.pi**2 * C_LIGHT**3)
-        - (desc.A / desc.V) * omega / (4.0 * math.pi * C_LIGHT**2)
-        + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)
-    )
-    out = dos * energy
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
+        dos = (
+            omega**2 / (math.pi**2 * C_LIGHT**3)
+            - (desc.A / desc.V) * omega / (4.0 * math.pi * C_LIGHT**2)
+            + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)
+        )
+        out = finite_density(dos * energy)
     return float(out) if out.ndim == 0 else out

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
-from .validate import finite_real
+from .validate import finite_density, finite_real
 
 __all__ = [
     "mean_oscillator_energy",
@@ -90,11 +90,13 @@ def mean_oscillator_energy(omega, T):
 def planck_density(omega, T):
     """Planck spectral energy density of the infinite cavity, J s/(rad m^3).
 
-    0.0 where the mean oscillator energy is 0, however large omega**2 is."""
+    0.0 where the mean oscillator energy is 0, however large omega**2 is. A
+    density beyond the float range raises ValueError."""
     omega, T = _validate(omega, T)
     energy = mean_oscillator_energy(omega, T)
     omega = np.where(energy > 0.0, omega, 0.0)  # there omega**2 may be inf, and inf * 0 nan
-    out = omega**2 / (math.pi**2 * C_LIGHT**3) * energy
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
+        out = finite_density(omega**2 / (math.pi**2 * C_LIGHT**3) * energy)
     return float(out) if out.ndim == 0 else out
 
 

@@ -23,7 +23,7 @@ from .errors import ResourceLimitError, ThresholdSingularityError
 from .geometry import (CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
                        disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
-from .validate import finite_real
+from .validate import finite_density, finite_real
 
 __all__ = [
     "film_mode_count",
@@ -41,11 +41,19 @@ THRESHOLD_GUARD = 1e-9
 #: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
 #: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
 #: rod_density and the CLI grid keep the last geometry's table between calls;
-#: a growing call may build up to 4x the entries it needs.
+#: a growing call may build up to 4x the entries it needs. A rod_density call
+#: whose mode sum is in _sums reads no table at all.
 MAX_ROD_TABLE = 5 * 10**7
 
-#: the kept table (L1, L2, bc, k_cap, sorted k^2) of _rod_density_grid, or None
+#: the kept table (L1, L2, bc, k_cap, sorted k^2) of _rod_sums, or None
 _kept = None
+
+#: entries of the rod-sum memo; a new entry past it evicts the oldest
+MAX_ROD_SUMS = 1024
+
+#: rod_density's mode sums, which do not depend on T, keyed by
+#: (geom, bc, omega, threshold_guard); singular samples are never entered
+_sums = {}
 
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
@@ -77,17 +85,10 @@ def film_density(omega, T, geom: FilmGeometry, bc: BoundaryCondition):
     A density beyond the float range raises ValueError."""
     counts = film_mode_count(omega, geom, bc)
     omega = np.asarray(omega, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        out = _finite(omega * mean_oscillator_energy(omega, T)
-                      / (math.pi * C_LIGHT**2 * geom.L1) * counts)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
+        out = finite_density(omega * mean_oscillator_energy(omega, T)
+                             / (math.pi * C_LIGHT**2 * geom.L1) * counts)
     return float(out) if out.ndim == 0 else out
-
-
-def _finite(density):
-    """density, refused with ValueError if any value left the float range."""
-    if not np.all(np.isfinite(density)):
-        raise ValueError("the density exceeds the float range")
-    return density
 
 
 def _rod_axes(geom, bc, k_cap):
@@ -146,8 +147,13 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
 
 def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
                 threshold_guard=THRESHOLD_GUARD):
-    """Rod spectral energy density at a single angular frequency. The last
-    geometry's transverse table is kept for the next call (see MAX_ROD_TABLE).
+    """Rod spectral energy density at a single angular frequency.
+
+    The mode sum does not depend on T. The last MAX_ROD_SUMS non-singular
+    sums are kept, so a call at the same (geom, bc, omega, threshold_guard)
+    and another T reads no table and recomputes only the thermal prefactor,
+    with the same temperature check and overflow refusal. A miss reads the
+    last geometry's transverse table, which is kept too (see MAX_ROD_TABLE).
 
     Parameters
     ----------
@@ -169,24 +175,47 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     message = "threshold_guard must be finite, >= 0 and < 1"
-    if not finite_real(threshold_guard, message, inclusive=True) < 1.0:
+    guard = finite_real(threshold_guard, message, inclusive=True)
+    if not guard < 1.0:
         raise ValueError(message)
-    values, singular = _rod_density_grid(np.array([omega]), T, geom, bc, float(threshold_guard))
+    key = (geom, bc, omega, guard)
+    total, singular = _sums.get(key), None
+    if total is None:
+        totals, singular = _rod_sums(np.array([omega]), geom, bc, guard)
+        total = totals[0]
+        if not singular:
+            if len(_sums) >= MAX_ROD_SUMS:
+                del _sums[next(iter(_sums))]  # dicts keep insertion order
+            _sums[key] = total
+    value = _rod_values(np.array([omega]), T, geom, [total])[0]
     if singular:
         raise singular[0]
-    return float(values[0])
+    return float(value)
 
 
 def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
     """Rod density at every omega of a 1-D array of finite omegas >= 0.
 
+    Returns the densities of _rod_sums's totals, nan at each singular
+    sample, and _rod_sums's dict of the singular samples' errors.
+    """
+    totals, singular = _rod_sums(omega, geom, bc, threshold_guard)
+    values = _rod_values(omega, T, geom, totals)
+    if singular:
+        values[list(singular)] = np.nan
+    return values, singular
+
+
+def _rod_sums(omega, geom, bc, threshold_guard):
+    """Mode sums sum 1/sqrt(omega^2/c^2 - k_perp^2) at a 1-D array of omegas.
+
     All samples share one sorted transverse table, the kept table covering
-    the largest omega, and one mean_oscillator_energy call. Returns the
-    densities and a dict from the index of each sample inside a guard window
-    to its ThresholdSingularityError; those samples hold nan. Each value is
-    the one a table sized to its own omega gives, bit for bit: the entries
-    below (omega/c)^2 are the same sorted prefix for any table that covers
-    omega, and each sample sums its own prefix.
+    the largest omega. Returns the sums, a list of floats, and a dict from
+    the index of each sample inside a guard window to its
+    ThresholdSingularityError; those samples sum to 0.0. Each sum is the one
+    a table sized to its own omega gives, bit for bit: the entries below
+    (omega/c)^2 are the same sorted prefix for any table that covers omega,
+    and each sample sums its own prefix.
     """
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
@@ -209,11 +238,13 @@ def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
         t = np.subtract(kk, s[:m])
         np.sqrt(t, out=t)
         totals.append(float(np.sum(np.divide(1.0, t, out=t))))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
-        values = _finite(_rod_prefactor(omega, T, geom) * np.array(totals))
-    if singular:
-        values[list(singular)] = np.nan
-    return values, singular
+    return totals, singular
+
+
+def _rod_values(omega, T, geom, totals):
+    """Densities of the mode sums at omega; also checks T, and refuses overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
+        return finite_density(_rod_prefactor(omega, T, geom) * np.array(totals))
 
 
 def _rod_prefactor(omega, T, geom):
@@ -277,9 +308,9 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     pieces = max(1, math.ceil((b - a) / (1e-3 * mid_all)))
     edges = np.linspace(a, b, pieces + 1)
     total = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by _finite
+    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
         for lo, hi in zip(edges[:-1], edges[1:]):
             mid = 0.5 * (lo + hi)
             total += _rod_prefactor(mid, T, geom) * float(
                 np.sum(antiderivative(hi) - antiderivative(lo)))
-        return _finite(total / (b - a))
+        return finite_density(total / (b - a))

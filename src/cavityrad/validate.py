@@ -1,9 +1,11 @@
-"""The one check for scalar numeric arguments of the public entry points."""
+"""The checks for scalar numeric arguments and computed densities."""
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 
 def finite_real(value, message, lower=0.0, inclusive=False):
@@ -23,3 +25,10 @@ def finite_real(value, message, lower=0.0, inclusive=False):
     if not (math.isfinite(value) and (value >= lower if inclusive else value > lower)):
         raise ValueError(message)
     return value
+
+
+def finite_density(density):
+    """density, refused with ValueError if any value left the float range."""
+    if not np.all(np.isfinite(density)):
+        raise ValueError("the density exceeds the float range")
+    return density

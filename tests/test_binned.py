@@ -371,6 +371,46 @@ def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
         binned._norm_bound(1.0, (cap + 0.5) ** -0.5)
 
 
+@pytest.mark.parametrize("bc", list(BoundaryCondition))
+def test_cube_counts_are_kept_for_another_temperature(bc, monkeypatch):
+    from cavityrad import binned
+
+    side, dw, omega_max, temps = 1e-3, 1e12, 5e14, (300.0, 1000.0)
+    exact = binned._exact_counts_by_convolution
+    seen = []  # (m_max, r3) of every convolution
+    monkeypatch.setattr(binned, "_exact_counts_by_convolution",
+                        lambda j, m: seen.append((m, exact(j, m))) or seen[-1][1])
+    kept = [cube_binned_density(side, bc, T, dw, omega_max).u for T in temps]
+    assert len(seen) == 1  # the second temperature reads the kept counts
+    for T, u in zip(temps, kept):
+        binned._cube_counts.cache_clear()
+        assert u.tobytes() == cube_binned_density(side, bc, T, dw, omega_max).u.tobytes()
+    m_max, r3 = seen[-1]
+    counts = binned._cube_counts(side, bc, m_max)
+    assert len(seen) == 3  # a hit on the slot the last call filled
+    assert not counts.flags.writeable and np.array_equal(counts, r3)
+    assert counts.dtype.kind == "u" and counts.dtype == np.min_scalar_type(r3.max())
+    assert r3.max() > np.iinfo(np.uint8).max  # so the dtype is not trivially uint8
+
+
+def test_narrow_cube_counts_bin_like_int64_counts(monkeypatch):
+    # the 1 cm periodic cube's counts reach 42,336, kept as uint16, where
+    # 2 x count would wrap past 65,535 if it were doubled in uint16
+    from cavityrad import binned
+
+    args = (1e-2, BoundaryCondition.PERIODIC, 300.0, 1e12, 3.1e14)
+    exact = binned._exact_counts_by_convolution
+    seen = []
+    monkeypatch.setattr(binned, "_exact_counts_by_convolution",
+                        lambda j, m: seen.append(exact(j, m)) or seen[-1])
+    u = cube_binned_density(*args).u
+    [r3] = seen
+    assert binned._cube_counts(*args[:2], r3.size - 1).dtype == np.uint16
+    assert r3.max() > np.iinfo(np.uint16).max // 2
+    monkeypatch.setattr(binned, "_cube_counts", lambda side, bc, m_max: r3)
+    assert u.tobytes() == cube_binned_density(*args).u.tobytes()
+
+
 def test_cube_bin_cap_checked_before_counts(monkeypatch):
     from cavityrad import binned
 
@@ -433,6 +473,19 @@ def test_planck_and_weyl_zero_where_the_mean_energy_is_zero():
         assert np.array_equal(got[hot], formula[hot])
         assert np.array_equal(got[~hot], np.zeros(4)) and not np.signbit(got).any()
     assert planck_density(5e299, 300.0) == 0.0 == weyl_density(5e299, 300.0, desc)
+
+
+@pytest.mark.parametrize("name", ["planck_density", "weyl_density"])
+def test_planck_and_weyl_beyond_the_float_range_refused(name):
+    # at 5e299 rad/s and 1e300 K the mean energy is ~k_B T > 0 and omega**2 overflows
+    desc = descriptors_for(SphereGeometry(1e-5))
+    density = {"planck_density": planck_density,
+               "weyl_density": lambda w, T: weyl_density(w, T, desc)}[name]
+    assert mean_oscillator_energy(5e299, 1e300) > 0.0
+    for w in (5e299, np.array([1e14, 5e299])):
+        with pytest.raises(ValueError, match="density exceeds the float range"):
+            density(w, 1e300)
+    assert math.isfinite(density(1e14, 1e300))
 
 
 def test_weyl_negative_for_small_sphere():

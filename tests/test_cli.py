@@ -572,6 +572,19 @@ def test_density_beyond_the_float_range_exit_2(flags, fmt):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("compare", ["planck", "weyl"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_comparison_column_beyond_the_float_range_exit_2(compare, fmt):
+    # at the 5e299 rad/s center and 1e300 K the mean energy is positive and
+    # omega**2 overflows: refused like a film or rod density, not printed as inf
+    r = run_cli("spectrum", "--geometry", "box", "--bc", "periodic",
+                "--lengths", "2e-5,2e-5,3e-5", "--temperature", "1e300", "--omega-max", "1e14",
+                "--delta-omega", "1e300", "--compare", compare, "--format", fmt)
+    assert r.returncode == 2, r.stderr
+    assert r.stderr == "error: the density exceeds the float range\n"
+    assert r.stdout == ""
+
+
 def test_comparison_columns_zero_at_a_huge_bin_center():
     # at the 5e299 rad/s center omega**2 overflows while the mean energy is 0
     args = ("spectrum", "--geometry", "box", "--bc", "periodic", "--lengths", "2e-5,2e-5,3e-5",

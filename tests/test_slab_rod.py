@@ -31,16 +31,6 @@ from cavityrad import (
 BCS = list(BoundaryCondition)
 
 
-@pytest.fixture(autouse=True)
-def no_kept_rod_table():
-    """rod_density keeps its last table; every test here starts and ends without one."""
-    from cavityrad import slab_rod
-
-    slab_rod._kept = None
-    yield
-    slab_rod._kept = None
-
-
 def brute_film_count(omega, L1, bc):
     """Explicit enumeration of admitted longitudinal wavenumbers, |k_i| <= w/c."""
     k = omega / C_LIGHT
@@ -304,6 +294,7 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
             for rod in rods:
                 for bc in BCS:
                     for w in omegas[start:start + 7]:
+                        slab_rod._sums.clear()  # a memo hit would not read the kept table
                         kept = slab_rod._kept
                         hits += (kept is not None and kept[:3] == (rod.L1, rod.L2, bc)
                                  and kept[3] >= own_cap(w))
@@ -318,6 +309,80 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
                         else:
                             assert rod_density(w, 300.0, rod, bc) == expected, (rod, bc, w)
     assert hits > 1000 and refused >= 30
+
+
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("lengths", [(1e-3, 1e-3), (7.5e-4, 5e-4)])
+def test_rod_sum_memo_hit_equals_a_cleared_call(lengths, bc, monkeypatch):
+    # a revisit at another temperature reads the kept sum and no table
+    from cavityrad import slab_rod
+
+    rod = RodGeometry(*lengths)
+    omegas = np.linspace(1e13, 3e14, 12).tolist()
+    for w in omegas:
+        rod_density(w, 500.0, rod, bc)
+    memo = dict(slab_rod._sums)
+    assert len(memo) == len(omegas)
+    tables = []
+    kept_k2 = slab_rod._kept_k2
+    monkeypatch.setattr(slab_rod, "_kept_k2", lambda *args: tables.append(args) or kept_k2(*args))
+    for T in (300.0, 1000.0):
+        tables.clear()
+        hits = [rod_density(w, T, rod, bc) for w in omegas]
+        assert tables == []
+        cleared = []
+        for w in omegas:
+            slab_rod._sums.clear()
+            cleared.append(rod_density(w, T, rod, bc))
+        assert len(tables) == len(omegas)
+        assert [v.hex() for v in hits] == [v.hex() for v in cleared]
+        slab_rod._sums.clear()
+        slab_rod._sums.update(memo)
+
+
+def test_rod_sum_memo_hit_checks_the_temperature_and_the_float_range():
+    from cavityrad import slab_rod
+
+    rod, bc, omega = RodGeometry(1e-3, 1e-3), BoundaryCondition.DIRICHLET, 2e14
+    for T in (math.nan, -5.0, 0.0, True):
+        slab_rod._sums.clear()
+        with pytest.raises(ValueError) as want:
+            rod_density(omega, T, rod, bc)  # a miss
+        rod_density(omega, 300.0, rod, bc)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            rod_density(omega, T, rod, bc)  # a hit
+    # the overflowing prefactor of test_density_beyond_the_float_range_refused
+    tiny = RodGeometry(1e-100, 2e-4)
+    rod_density(1e14, 300.0, tiny, BoundaryCondition.PERIODIC)
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        rod_density(1e14, 1e300, tiny, BoundaryCondition.PERIODIC)
+
+
+def test_rod_sum_memo_keeps_no_singular_sample():
+    # each call raises its own error, built anew
+    from cavityrad import slab_rod
+
+    rod = RodGeometry(1e-5, 1e-5)
+    w = float(rod_threshold_frequencies(rod, BoundaryCondition.PERIODIC, 1e15)[0])
+    errors = []
+    for _ in range(2):
+        with pytest.raises(ThresholdSingularityError) as err:
+            rod_density(w, 300.0, rod, BoundaryCondition.PERIODIC)
+        errors.append(err.value)
+    assert errors[0] is not errors[1] and errors[0].mode == errors[1].mode
+    assert slab_rod._sums == {}
+
+
+def test_rod_sum_memo_holds_at_most_1024_entries():
+    from cavityrad import slab_rod
+
+    rod, bc = RodGeometry(1e-5, 1e-5), BoundaryCondition.DIRICHLET
+    omegas = np.linspace(1e13, 1e15, 1100).tolist()
+    for w in omegas:
+        rod_density(w, 300.0, rod, bc)
+        assert len(slab_rod._sums) <= 1024
+    # the oldest entries went first
+    assert [key[2] for key in slab_rod._sums] == omegas[-1024:]
 
 
 @pytest.mark.parametrize("lengths", [(1e-3, 1e-3), (7.5e-4, 5e-4)])

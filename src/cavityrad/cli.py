@@ -28,7 +28,7 @@ from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .modes import enumerate_box_modes, enumerate_sphere_modes
 from .planck import planck_density
-from .slab_rod import _rod_density_grid, film_density
+from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
 from .validate import finite_real
 
 __all__ = ["main", "run_spectrum", "run_modes", "run_figures"]
@@ -197,7 +197,8 @@ def compute(cfg):
         if cfg.geometry == "film":
             values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
         else:
-            densities, singular = _rod_density_grid(grid, cfg.temperature, geom, cfg.bc)
+            totals, singular = _rod_sums(grid, geom, cfg.bc, THRESHOLD_GUARD)
+            densities = _rod_values(grid, cfg.temperature, geom, totals)
             values = [None if i in singular else float(v) for i, v in enumerate(densities)]
             for i, exc in singular.items():
                 warnings.append(

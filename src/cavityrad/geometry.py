@@ -185,12 +185,18 @@ class GeometryDescriptors:
 
     M is the surface integral of (kappa_1 + kappa_2)/2; for polyhedra it
     concentrates on the edges as sum(edge length * exterior angle)/2, which
-    gives pi*(L1 + L2 + L3) for a box.
+    gives pi*(L1 + L2 + L3) for a box. V must be positive and finite, A and M
+    finite; A = M = 0 is the Planck density.
     """
 
     V: float
     A: float
     M: float
+
+    def __post_init__(self):
+        finite_real(self.V, "V must be a positive finite volume")
+        for value in (self.A, self.M):
+            finite_real(value, "A and M must be finite", lower=-math.inf)
 
 
 def descriptors_for(geom):
@@ -204,9 +210,8 @@ def descriptors_for(geom):
         )
     if isinstance(geom, SphereGeometry):
         r = geom.radius
-        return GeometryDescriptors(
-            V=geom.volume,
-            A=4.0 * math.pi * r**2,
-            M=4.0 * math.pi * r,
-        )
+        try:
+            return GeometryDescriptors(V=geom.volume, A=4.0 * math.pi * r**2, M=4.0 * math.pi * r)
+        except OverflowError:  # r**2 or r**3 beyond the float range
+            raise ValueError("V must be a positive finite volume") from None
     raise TypeError("descriptors are defined for BoxGeometry and SphereGeometry only")

@@ -101,9 +101,12 @@ def planck_density(omega, T):
 
 
 def planck_total_energy_density(T):
-    """Closed-form total energy density a*T^4 in J/m^3."""
+    """Closed-form total energy density a*T^4 in J/m^3; ValueError past the float range."""
     _, T = _validate(0.0, T)
-    return radiation_constant * T**4
+    try:
+        return radiation_constant * T**4
+    except OverflowError:  # T**4 overflows from ~1.16e77 K, a*T^4 only from ~2.2e80 K
+        return finite_density(radiation_constant * T * T * T * T)
 
 
 def _series_integral(x):
@@ -136,22 +139,28 @@ def planck_energy_fraction_below(omega_max, T):
     to x = 2 by the Bernoulli (Debye) power series (Abramowitz & Stegun
     27.1), above it as 1 minus the exponential series of the remainder
     integral(t^3/(e^t - 1), x, inf). Either agrees with an independent
-    quadrature to about 1e-15 relative.
+    quadrature to about 1e-15 relative. The fraction is 0.0 at omega_max = 0,
+    and 1.0 where x is infinite (k_B*T underflows) or e^{-x} underflows.
     """
     omega_max, T = _validate(omega_max, T)
     if omega_max.ndim != 0:
         raise ValueError("omega_max must be scalar")
-    x_max = HBAR * float(omega_max) / (K_B * T)
+    if omega_max == 0.0:  # where k_B*T may underflow to 0 as well
+        return 0.0
+    x_max = HBAR * float(omega_max) / (K_B * T) if K_B * T > 0.0 else math.inf
     if x_max <= _SERIES_X_MAX:
         return _series_integral(x_max) / _TOTAL_X3
-    return 1.0 - _tail_integral(x_max) / _TOTAL_X3
+    # where e^{-x} underflows the tail is 0, and x_max**3 in it may overflow
+    return 1.0 - _tail_integral(x_max) / _TOTAL_X3 if math.exp(-x_max) > 0.0 else 1.0
 
 
 def planck_peak_frequency(T):
     """Angular frequency maximizing planck_density at temperature T.
 
-    The peak solves 3*(1 - e^{-x}) = x in x = hbar*omega/(k_B T).
+    The peak solves 3*(1 - e^{-x}) = x in x = hbar*omega/(k_B T). A peak
+    beyond the float range raises ValueError.
     """
     _, T = _validate(0.0, T)
     x = 2.8214393721220787  # the root in double precision: a Newton step from it is -0.0
-    return x * K_B * T / HBAR
+    return finite_real(x * K_B * T / HBAR, "the peak frequency exceeds the float range",
+                       inclusive=True)

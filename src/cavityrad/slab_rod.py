@@ -14,6 +14,7 @@ refused rather than returning astronomically large floats).
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -42,18 +43,14 @@ THRESHOLD_GUARD = 1e-9
 #: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
 #: rod_density and the CLI grid keep the last geometry's table between calls;
 #: a growing call may build up to 4x the entries it needs. A rod_density call
-#: whose mode sum is in _sums reads no table at all.
+#: whose mode sum _rod_sum keeps reads no table at all.
 MAX_ROD_TABLE = 5 * 10**7
 
 #: the kept table (L1, L2, bc, k_cap, sorted k^2) of _rod_sums, or None
 _kept = None
 
-#: entries of the rod-sum memo; a new entry past it evicts the oldest
+#: rod_density's mode sums kept by _rod_sum; past it the least recently used goes
 MAX_ROD_SUMS = 1024
-
-#: rod_density's mode sums, which do not depend on T, keyed by
-#: (geom, bc, omega, threshold_guard); singular samples are never entered
-_sums = {}
 
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
@@ -96,14 +93,6 @@ def _rod_axes(geom, bc, k_cap):
     return lattice_axes((geom.L1, geom.L2), bc, k_cap, MAX_ROD_TABLE, "transverse modes")
 
 
-def _k2_grid(axes):
-    """Axis wavenumbers, their labels and the full k1^2 + k2^2 rectangle."""
-    (k1, n1), (k2, n2) = axes
-    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
-        s = (k1**2)[:, None] + (k2**2)[None, :]
-    return s, k1, k2, n1, n2
-
-
 def _transverse_k2(geom, bc, k_cap):
     """Sorted transverse k^2 of the modes with k_perp <= k_cap, built per call."""
     s = disc_sums([k for k, _ in _rod_axes(geom, bc, k_cap)], k_cap * k_cap * CUT_MARGIN)
@@ -138,8 +127,9 @@ def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     k = omega / C_LIGHT
-    s, k1, k2, _, _ = _k2_grid(_rod_axes(geom, bc, k))
-    i1, i2 = np.nonzero(s < k * k)
+    (k1, _), (k2, _) = _rod_axes(geom, bc, k)
+    with np.errstate(over="ignore"):  # an overflowed k^2 is inf and never admitted
+        i1, i2 = np.nonzero((k1**2)[:, None] + (k2**2)[None, :] < k * k)
     pairs = np.column_stack([k1[i1], k2[i2]])
     order = np.lexsort((pairs[:, 1], pairs[:, 0], pairs[:, 0] ** 2 + pairs[:, 1] ** 2))
     return pairs[order]
@@ -149,9 +139,9 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
                 threshold_guard=THRESHOLD_GUARD):
     """Rod spectral energy density at a single angular frequency.
 
-    The mode sum does not depend on T. The last MAX_ROD_SUMS non-singular
-    sums are kept, so a call at the same (geom, bc, omega, threshold_guard)
-    and another T reads no table and recomputes only the thermal prefactor,
+    The mode sum does not depend on T. _rod_sum keeps the last MAX_ROD_SUMS
+    non-singular sums, so a call at the same (geom, bc, omega, threshold_guard)
+    and another T reads no table and recomputes only the thermal factor,
     with the same temperature check and overflow refusal. A miss reads the
     last geometry's transverse table, which is kept too (see MAX_ROD_TABLE).
 
@@ -178,32 +168,22 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     guard = finite_real(threshold_guard, message, inclusive=True)
     if not guard < 1.0:
         raise ValueError(message)
-    key = (geom, bc, omega, guard)
-    total, singular = _sums.get(key), None
-    if total is None:
-        totals, singular = _rod_sums(np.array([omega]), geom, bc, guard)
-        total = totals[0]
-        if not singular:
-            if len(_sums) >= MAX_ROD_SUMS:
-                del _sums[next(iter(_sums))]  # dicts keep insertion order
-            _sums[key] = total
-    value = _rod_values(np.array([omega]), T, geom, [total])[0]
+    try:
+        total = _rod_sum(geom, bc, omega, guard)
+    except ThresholdSingularityError:
+        _rod_values(omega, T, geom, 0.0)  # the T check and the overflow refusal come first
+        raise
+    return float(_rod_values(omega, T, geom, total))
+
+
+@functools.lru_cache(maxsize=MAX_ROD_SUMS)
+def _rod_sum(geom, bc, omega, guard):
+    """The mode sum of _rod_sums at one omega. A singular sample raises its
+    ThresholdSingularityError, which lru_cache never keeps."""
+    totals, singular = _rod_sums(np.array([omega]), geom, bc, guard)
     if singular:
         raise singular[0]
-    return float(value)
-
-
-def _rod_density_grid(omega, T, geom, bc, threshold_guard=THRESHOLD_GUARD):
-    """Rod density at every omega of a 1-D array of finite omegas >= 0.
-
-    Returns the densities of _rod_sums's totals, nan at each singular
-    sample, and _rod_sums's dict of the singular samples' errors.
-    """
-    totals, singular = _rod_sums(omega, geom, bc, threshold_guard)
-    values = _rod_values(omega, T, geom, totals)
-    if singular:
-        values[list(singular)] = np.nan
-    return values, singular
+    return totals[0]
 
 
 def _rod_sums(omega, geom, bc, threshold_guard):
@@ -242,24 +222,21 @@ def _rod_sums(omega, geom, bc, threshold_guard):
 
 
 def _rod_values(omega, T, geom, totals):
-    """Densities of the mode sums at omega; also checks T, and refuses overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
-        return finite_density(_rod_prefactor(omega, T, geom) * np.array(totals))
-
-
-def _rod_prefactor(omega, T, geom):
-    """Thermal prefactor of the rod sum, 2 omega eps(omega, T)/(pi c^2 L1 L2)."""
-    return 2.0 * omega * mean_oscillator_energy(omega, T) / (
-        math.pi * C_LIGHT**2 * geom.L1 * geom.L2
-    )
+    """Densities 2 omega eps(omega, T)/(pi c^2 L1 L2) * totals of the mode sums
+    at omega, eps the mean oscillator energy; checks T and refuses overflow."""
+    with np.errstate(all="ignore"):  # a density that is not finite is refused
+        return finite_density(np.divide(2.0 * omega * mean_oscillator_energy(omega, T),
+                                        math.pi * C_LIGHT**2 * geom.L1 * geom.L2)
+                              * np.asarray(totals))
 
 
 def _mode_indices(geom, bc, k_perp, k_cap):
-    """Lattice indices (n1, n2) of the transverse mode at k_perp (error path only)."""
+    """Lattice labels (n1, n2) of the transverse mode at k_perp (error path only)."""
     k_max = min(k_perp * 1.001, k_cap)  # within the table that found k_perp, so within its cap
-    s, _, _, n1, n2 = _k2_grid(_rod_axes(geom, bc, k_max))
-    i, j = np.unravel_index(np.argmin(np.abs(s - k_perp**2)), s.shape)
-    return int(n1[i]), int(n2[j])
+    pairs = rod_transverse_modes(C_LIGHT * k_max, geom, bc)
+    k = pairs[np.argmin(np.abs(pairs[:, 0]**2 + pairs[:, 1]**2 - k_perp**2))]
+    period, offset, _ = quantization(bc)
+    return tuple(round(x * L / period - offset) for x, L in zip(k, (geom.L1, geom.L2)))
 
 
 def rod_threshold_frequencies(geom: RodGeometry, bc: BoundaryCondition, omega_max):
@@ -285,7 +262,7 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     one step c*period/max(L1, L2), so b <= omega + that step. Each mode's
     1/sqrt(omega^2/c^2 - s) term is integrated with its exact antiderivative
     c*ln(omega + sqrt(omega^2 - c^2 s)), and the smooth thermal prefactor is
-    applied piecewise at sub-interval midpoints. omega must lie strictly
+    applied piecewise at sub-interval midpoints. omega must lie at or
     above the first threshold. An average beyond the float range raises
     ValueError.
     """
@@ -307,10 +284,10 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     # subdivide so the thermal prefactor varies by < ~1e-3 per piece
     pieces = max(1, math.ceil((b - a) / (1e-3 * mid_all)))
     edges = np.linspace(a, b, pieces + 1)
-    total = 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid = 0.5 * (lo + hi)
-            total += _rod_prefactor(mid, T, geom) * float(
-                np.sum(antiderivative(hi) - antiderivative(lo)))
+        sums = [float(np.sum(antiderivative(hi) - antiderivative(lo)))
+                for lo, hi in zip(edges[:-1], edges[1:])]
+        total = 0.0
+        for value in _rod_values(0.5 * (edges[:-1] + edges[1:]), T, geom, sums):
+            total += value  # in piece order; np.sum would pair terms and move last bits
         return finite_density(total / (b - a))

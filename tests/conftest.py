@@ -8,7 +8,7 @@ def forget_kept_state():
     from cavityrad import binned, slab_rod
 
     slab_rod._kept = None
-    slab_rod._sums.clear()
+    slab_rod._rod_sum.cache_clear()
     binned._cube_counts.cache_clear()
 
 

@@ -532,3 +532,29 @@ def test_descriptors_permutation_invariant():
     for lengths in ((2.0, 1.0, 3.0), (3.0, 2.0, 1.0)):
         d = descriptors_for(BoxGeometry(*lengths))
         assert (d.V, d.A, d.M) == (base.V, base.A, base.M)
+
+
+BAD_DESCRIPTORS = {
+    "V = 0": lambda: GeometryDescriptors(V=0.0, A=1.0, M=1.0),
+    "V = -1": lambda: GeometryDescriptors(V=-1.0, A=0.0, M=0.0),
+    "V = inf": lambda: GeometryDescriptors(V=math.inf, A=0.0, M=0.0),
+    "V = nan": lambda: GeometryDescriptors(V=math.nan, A=0.0, M=0.0),
+    "A = inf": lambda: GeometryDescriptors(V=1.0, A=math.inf, M=0.0),
+    "M = nan": lambda: GeometryDescriptors(V=1.0, A=0.0, M=math.nan),
+    "weyl_density with V = 0": lambda: weyl_density(1e14, 300.0,
+                                                    GeometryDescriptors(0.0, 1.0, 1.0)),
+    "box volume underflows": lambda: descriptors_for(BoxGeometry(1e-200, 1e-200, 1e-200)),
+    "box volume overflows": lambda: descriptors_for(BoxGeometry(1e200, 1e200, 1e200)),
+    "sphere volume overflows": lambda: descriptors_for(SphereGeometry(1e200)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_DESCRIPTORS))
+def test_descriptors_need_a_positive_finite_volume_and_finite_a_and_m(name):
+    with pytest.raises(ValueError, match="positive finite volume|A and M must be finite"):
+        BAD_DESCRIPTORS[name]()
+
+
+def test_descriptors_with_a_and_m_zero_stay_valid():
+    desc = GeometryDescriptors(V=1e-300, A=0.0, M=0.0)
+    assert weyl_density(1e14, 300.0, desc) == planck_density(1e14, 300.0)

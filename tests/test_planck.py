@@ -208,3 +208,29 @@ def test_fraction_branches_agree_at_switch():
     series = _series_integral(_SERIES_X_MAX)
     tail = _TOTAL_X3 - _tail_integral(_SERIES_X_MAX)
     assert series == pytest.approx(tail, rel=1e-14)
+
+
+def test_fraction_at_the_extremes():
+    # 1.0 where x = hbar*omega/(k_B T) is infinite (k_B*T underflows to 0) or
+    # e^{-x} underflows; 0.0 at omega_max = 0 for every T > 0
+    for omega_max, T in [(1e300, 300.0), (1e14, 1e-310), (1e14, 5e-324), (1.7e308, 1e-300),
+                         (1e18, 300.0)]:
+        assert planck_energy_fraction_below(omega_max, T) == 1.0, (omega_max, T)
+    for T in (5e-324, 1e-310, 300.0, 1e300):
+        assert planck_energy_fraction_below(0.0, T) == 0.0, T
+
+
+def test_total_energy_and_peak_past_t4_and_the_float_range():
+    # T**4 overflows above ~1.16e77 K, a*T^4 only above ~2.2e80 K; the peak
+    # frequency leaves the float range above ~4.8e288 K
+    getcontext().prec = 40
+    for T in (1.2e77, 1e78, 1e80):
+        exact = Decimal(radiation_constant) * Decimal(T) ** 4
+        assert planck_total_energy_density(T) == pytest.approx(float(exact), rel=1e-15)
+    assert planck_total_energy_density(1e77) == radiation_constant * 1e77**4
+    peak = Decimal(2.8214393721220787) * Decimal(K_B) * Decimal(1e288) / Decimal(HBAR)
+    assert planck_peak_frequency(1e288) == pytest.approx(float(peak), rel=1e-15)
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        planck_total_energy_density(1e81)
+    with pytest.raises(ValueError, match="peak frequency exceeds the float range"):
+        planck_peak_frequency(1e300)

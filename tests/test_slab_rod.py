@@ -240,18 +240,19 @@ def rod_curves():
 def test_rod_grid_equals_per_sample_evaluation():
     # one table for the whole grid gives every value of a table per sample,
     # bit for bit, refuses the same samples and names the same modes
-    from cavityrad.slab_rod import _rod_density_grid
+    from cavityrad.slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values
 
     curves = list(rod_curves())
     assert len(curves) == 10
     refused = 0
     for name, rod, bc, T, grid in curves:
-        values, singular = _rod_density_grid(grid, T, rod, bc)
+        totals, singular = _rod_sums(grid, rod, bc, THRESHOLD_GUARD)
+        values = _rod_values(grid, T, rod, totals)
         for i, w in enumerate(grid.tolist()):
             expected = per_sample_rod_density(w, T, rod, bc)
             if expected is None:
                 refused += 1
-                assert np.isnan(values[i]), (name, i)
+                assert i in singular and totals[i] == 0.0, (name, i)
                 with pytest.raises(ThresholdSingularityError) as err:
                     rod_density(w, T, rod, bc)
                 assert singular[i].mode == err.value.mode, (name, i)
@@ -294,7 +295,7 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
             for rod in rods:
                 for bc in BCS:
                     for w in omegas[start:start + 7]:
-                        slab_rod._sums.clear()  # a memo hit would not read the kept table
+                        slab_rod._rod_sum.cache_clear()  # a hit would not read the kept table
                         kept = slab_rod._kept
                         hits += (kept is not None and kept[:3] == (rod.L1, rod.L2, bc)
                                  and kept[3] >= own_cap(w))
@@ -319,25 +320,23 @@ def test_rod_sum_memo_hit_equals_a_cleared_call(lengths, bc, monkeypatch):
 
     rod = RodGeometry(*lengths)
     omegas = np.linspace(1e13, 3e14, 12).tolist()
-    for w in omegas:
-        rod_density(w, 500.0, rod, bc)
-    memo = dict(slab_rod._sums)
-    assert len(memo) == len(omegas)
     tables = []
     kept_k2 = slab_rod._kept_k2
     monkeypatch.setattr(slab_rod, "_kept_k2", lambda *args: tables.append(args) or kept_k2(*args))
     for T in (300.0, 1000.0):
+        for w in omegas:
+            rod_density(w, 500.0, rod, bc)
+        assert slab_rod._rod_sum.cache_info().currsize == len(omegas)
         tables.clear()
         hits = [rod_density(w, T, rod, bc) for w in omegas]
         assert tables == []
+        assert slab_rod._rod_sum.cache_info().hits >= len(omegas)
         cleared = []
         for w in omegas:
-            slab_rod._sums.clear()
+            slab_rod._rod_sum.cache_clear()
             cleared.append(rod_density(w, T, rod, bc))
         assert len(tables) == len(omegas)
         assert [v.hex() for v in hits] == [v.hex() for v in cleared]
-        slab_rod._sums.clear()
-        slab_rod._sums.update(memo)
 
 
 def test_rod_sum_memo_hit_checks_the_temperature_and_the_float_range():
@@ -345,7 +344,7 @@ def test_rod_sum_memo_hit_checks_the_temperature_and_the_float_range():
 
     rod, bc, omega = RodGeometry(1e-3, 1e-3), BoundaryCondition.DIRICHLET, 2e14
     for T in (math.nan, -5.0, 0.0, True):
-        slab_rod._sums.clear()
+        slab_rod._rod_sum.cache_clear()
         with pytest.raises(ValueError) as want:
             rod_density(omega, T, rod, bc)  # a miss
         rod_density(omega, 300.0, rod, bc)
@@ -370,7 +369,25 @@ def test_rod_sum_memo_keeps_no_singular_sample():
             rod_density(w, 300.0, rod, BoundaryCondition.PERIODIC)
         errors.append(err.value)
     assert errors[0] is not errors[1] and errors[0].mode == errors[1].mode
-    assert slab_rod._sums == {}
+    info = slab_rod._rod_sum.cache_info()
+    assert info.currsize == 0 and info.misses == 2 and info.hits == 0
+
+
+def test_singular_sample_checks_the_temperature_and_the_float_range_first():
+    rod, bc = RodGeometry(1e-5, 1e-5), BoundaryCondition.PERIODIC
+    w = float(rod_threshold_frequencies(rod, bc, 1e15)[0])
+    for T in (math.nan, -5.0, 0.0):
+        with pytest.raises(ValueError) as want:
+            mean_oscillator_energy(1.0, T)
+        with pytest.raises(ValueError, match=re.escape(str(want.value))):
+            rod_density(w, T, rod, bc)
+    # the overflowing prefactor of test_density_beyond_the_float_range_refused
+    tiny = RodGeometry(1e-100, 2e-4)
+    w = float(rod_threshold_frequencies(tiny, bc, 1e14)[0])
+    with pytest.raises(ThresholdSingularityError):
+        rod_density(w, 300.0, tiny, bc)
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        rod_density(w, 1e300, tiny, bc)
 
 
 def test_rod_sum_memo_holds_at_most_1024_entries():
@@ -380,9 +397,18 @@ def test_rod_sum_memo_holds_at_most_1024_entries():
     omegas = np.linspace(1e13, 1e15, 1100).tolist()
     for w in omegas:
         rod_density(w, 300.0, rod, bc)
-        assert len(slab_rod._sums) <= 1024
-    # the oldest entries went first
-    assert [key[2] for key in slab_rod._sums] == omegas[-1024:]
+        assert slab_rod._rod_sum.cache_info().currsize <= 1024
+    assert slab_rod._rod_sum.cache_info().currsize == 1024
+    # the least recently used entries went first: the last 1,024 omegas hit,
+    # the first 76 miss
+    for w in omegas[-1024:]:
+        rod_density(w, 300.0, rod, bc)
+    info = slab_rod._rod_sum.cache_info()
+    assert info.hits == 1024 and info.misses == 1100
+    for w in omegas[:76]:
+        rod_density(w, 300.0, rod, bc)
+    info = slab_rod._rod_sum.cache_info()
+    assert info.hits == 1024 and info.misses == 1176
 
 
 @pytest.mark.parametrize("lengths", [(1e-3, 1e-3), (7.5e-4, 5e-4)])
@@ -528,6 +554,42 @@ def test_rod_window_equals_one_from_a_table_at_five_omega(bc, monkeypatch):
                 m.setattr(slab_rod, "_transverse_k2",
                           lambda g, b, k: transverse_k2(g, b, 5.0 * omega / C_LIGHT))
                 assert rod_window_average(omega, 300.0, rod, bc) == value, (lengths, omega)
+
+
+def loop_window_average(omega, T, rod, bc):
+    """Reference: the window average with each piece's thermal factor taken
+    one at a time in Python floats, the pieces added in order."""
+    from cavityrad.slab_rod import _transverse_k2
+
+    s = _transverse_k2(rod, bc, 5.0 * omega / C_LIGHT).tolist()
+    w = [C_LIGHT * math.sqrt(v) for v in s if v > 0.0]
+    a, b = max(v for v in w if v <= omega), min(v for v in w if v > omega)
+    mid_all = 0.5 * (a + b)
+    s_adm = np.array([v for v in s if v < (mid_all / C_LIGHT) ** 2])
+
+    def antiderivative(x):
+        return C_LIGHT * np.log(x + np.sqrt(np.maximum(x * x - C_LIGHT**2 * s_adm, 0.0)))
+
+    edges = np.linspace(a, b, max(1, math.ceil((b - a) / (1e-3 * mid_all))) + 1).tolist()
+    total = 0.0
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (lo + hi)
+        factor = 2.0 * mid * mean_oscillator_energy(mid, T) / (
+            math.pi * C_LIGHT**2 * rod.L1 * rod.L2)
+        total += factor * float(np.sum(antiderivative(hi) - antiderivative(lo)))
+    return total / (b - a)
+
+
+@pytest.mark.parametrize("bc", BCS)
+def test_rod_window_equals_a_piece_by_piece_loop(bc):
+    # wide windows of small rods: up to ~400 pieces, each factor the scalar one
+    for lengths in [(1e-5, 1e-5), (2e-5, 1.5e-5)]:
+        rod = RodGeometry(*lengths)
+        th = rod_threshold_frequencies(rod, bc, 20.0 * math.pi * C_LIGHT / min(lengths))
+        for omega in (1.01 * th[[0, 1, 2, 5]]).tolist():
+            for T in (30.0, 300.0, 3000.0):
+                assert (rod_window_average(omega, T, rod, bc)
+                        == loop_window_average(omega, T, rod, bc)), (lengths, omega, T)
 
 
 def test_rod_window_below_the_first_threshold_refused():
@@ -704,10 +766,11 @@ def test_other_rod_paths_keep_no_table(name):
 @pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (2e-5, 1.5e-5)])
 @pytest.mark.parametrize("bc", BCS)
 def test_rod_thresholds_equal_unique_over_the_full_rectangle(lengths, bc):
-    from cavityrad.slab_rod import _k2_grid, _rod_axes
+    from cavityrad.slab_rod import _rod_axes
 
     def unique_thresholds(omega_max):
-        s = _k2_grid(_rod_axes(rod, bc, omega_max / C_LIGHT))[0]
+        (k1, _), (k2, _) = _rod_axes(rod, bc, omega_max / C_LIGHT)
+        s = (k1**2)[:, None] + (k2**2)[None, :]
         w = C_LIGHT * np.sqrt(np.unique(s[s > 0.0]))
         return w[w <= omega_max]
 
@@ -766,3 +829,70 @@ OVERFLOWING_DENSITIES = {
 def test_density_beyond_the_float_range_refused(name):
     with pytest.raises(ValueError, match="density exceeds the float range"):
         OVERFLOWING_DENSITIES[name]()
+
+
+def first_labels_by_k2(rod, bc, k_max):
+    """{k1^2 + k2^2: (n1, n2)} over the label pairs with |k_i| <= k_max, each
+    float k^2 mapped to its first pair in row-major label order."""
+    from cavityrad.geometry import quantization
+
+    period, offset, two_sided = quantization(bc)
+
+    def axis(L):
+        m = math.ceil(k_max * L / period) + 2
+        labels = range(-m, m + 1) if two_sided else range(1, m + 1)
+        return [(n, period * (n + offset) / L) for n in labels]
+
+    first = {}
+    for n1, k1 in axis(rod.L1):
+        for n2, k2 in axis(rod.L2):
+            first.setdefault(k1 * k1 + k2 * k2, (n1, n2))
+    return first
+
+
+@pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (1e-5, 7.5e-6)])
+@pytest.mark.parametrize("bc", BCS)
+def test_singular_samples_name_the_first_mode_at_their_k_perp(lengths, bc):
+    # every threshold's error names labels whose wavenumbers give exactly its
+    # k_perp, and the first pair in row-major label order with their k^2
+    from cavityrad.geometry import quantization
+
+    period, offset, _ = quantization(bc)
+    rod = RodGeometry(*lengths)
+    omega_max = 40.0 * math.pi * C_LIGHT / max(lengths)
+    first = first_labels_by_k2(rod, bc, 1.01 * omega_max / C_LIGHT)
+    th = rod_threshold_frequencies(rod, bc, omega_max).tolist()
+    assert len(th) > 100
+    for w in th:
+        with pytest.raises(ThresholdSingularityError) as err:
+            rod_density(w, 300.0, rod, bc)
+        n1, n2 = err.value.mode
+        k1, k2 = period * (n1 + offset) / rod.L1, period * (n2 + offset) / rod.L2
+        assert math.sqrt(k1 * k1 + k2 * k2) == err.value.k_perp, (w, err.value.mode)
+        assert first[k1 * k1 + k2 * k2] == (n1, n2), w
+
+
+def test_forgetting_kept_state_empties_every_lru_cache():
+    import importlib
+    import pkgutil
+
+    import cavityrad
+    from conftest import forget_kept_state
+
+    rod_density(3e14, 300.0, RodGeometry(1e-5, 1e-5), BoundaryCondition.PERIODIC)
+    cavityrad.cube_binned_density(1e-4, BoundaryCondition.PERIODIC, 300.0, 1e13, 1e15)
+    caches = [obj for info in pkgutil.iter_modules(cavityrad.__path__) if info.name != "__main__"
+              for obj in vars(importlib.import_module("cavityrad." + info.name)).values()
+              if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear")]
+    assert sum(cache.cache_info().currsize > 0 for cache in caches) >= 2
+    forget_kept_state()
+    assert [cache for cache in caches if cache.cache_info().currsize > 0] == []
+
+
+def test_rod_of_an_area_below_the_float_range_refused():
+    # L1*L2 underflows to 0: the density is refused, with no division warning
+    rod = RodGeometry(1e-200, 1e-200)
+    for call in (lambda: rod_density(1e14, 300.0, rod, BoundaryCondition.PERIODIC),
+                 lambda: rod_density(0.0, 300.0, rod, BoundaryCondition.PERIODIC)):
+        with pytest.raises(ValueError, match="density exceeds the float range"):
+            call()

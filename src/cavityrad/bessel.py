@@ -46,6 +46,10 @@ MAX_RECURRENCE_STEPS = 2 * 10**6
 
 _RESCALE = 1e250
 
+#: below this x, j_l for l >= 2 is the small-argument series: the recurrence
+#: multiplies by (2n+1)/x at each step and overflows below about x = 1e-55
+_SERIES_X = 1e-8
+
 #: candidates are the zeros whose estimate is below x_max + _GUESS_MARGIN;
 #: the estimates are good to ~1e-2, so the sentinel beyond lies above x_max
 _GUESS_MARGIN = 0.25
@@ -82,6 +86,8 @@ def spherical_jl(l, x):
     point. Downward recurrence is stable on both sides of the turning point,
     unlike the upward direction which fails for x < l. It takes about
     max(l, x) steps; more than MAX_RECURRENCE_STEPS raise ResourceLimitError.
+    Below x = 1e-8 the small-argument series x^l/(2l+1)!! is used instead,
+    with no recurrence and so no step cap.
     """
     if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
         raise ValueError("l must be a nonnegative integer")
@@ -99,9 +105,27 @@ def spherical_jl(l, x):
     return float(out[0]) if scalar else out
 
 
+def _series(l, x):
+    """j_l(x) = x^l/(2l+1)!! (1 - x^2/(2(2l+3)) + ...) for 0 < x < _SERIES_X.
+
+    The x^2 term is below 1e-17 relative there, under half an ulp, so the
+    leading term is j_l to rounding. It is formed one factor x/(2k+1) at a
+    time, so neither x^l nor (2l+1)!! leaves the float range; each factor is
+    below 1e-8, so the product reaches 0 within ~40 factors and stops there.
+    """
+    out = np.ones_like(x)
+    for k in range(1, l + 1):
+        out *= x / (2 * k + 1)
+        if not out.any():
+            break
+    return out
+
+
 def _miller(l, x):
     out = np.zeros_like(x)
-    pos = x > 0.0
+    tiny = (x > 0.0) & (x < _SERIES_X)
+    out[tiny] = _series(l, x[tiny])
+    pos = x >= _SERIES_X
     xp = x[pos]
     if xp.size:
         if l > MAX_RECURRENCE_STEPS:  # checked as an int: past the float range, m ** (1/3) overflows

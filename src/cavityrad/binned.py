@@ -1,4 +1,4 @@
-"""Binned approximate spectra for closed cavities and the Weyl asymptotics.
+"""Binned approximate spectra for closed cavities.
 
 A closed cavity has a discrete spectrum, so no pointwise density exists;
 instead each mode's thermal energy is assigned to a frequency bin of fixed
@@ -7,10 +7,6 @@ anchored at 0, so the axis is partitioned with no modes dropped; a mode
 landing exactly on the top edge of the last bin is kept in that bin. This
 makes the energy-conservation identity sum(u_i)*dw*V = sum(N_i*eps_i) exact
 to accumulation roundoff.
-
-The three-term Weyl density (volume, surface, mean-curvature) is signed by
-construction and intentionally not clamped: its negative values at small
-cavity sizes are a physical finding, not a numerical artifact.
 """
 
 from __future__ import annotations
@@ -23,14 +19,13 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import (CUT_MARGIN, BoundaryCondition, GeometryDescriptors, axis_wavenumbers,
-                       disc_sums, quantization)
+from .geometry import CUT_MARGIN, BoundaryCondition, axis_wavenumbers, disc_sums, quantization
 from .modes import ModeList
 from .planck import mean_oscillator_energy
-from .validate import finite_density, finite_real
+from .validate import finite_real
 
-__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "weyl_density",
-           "MAX_BINS", "MAX_CUBE_NORMS"]
+__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "MAX_BINS",
+           "MAX_CUBE_NORMS"]
 
 #: cap on the bins of one spectrum; more raises ResourceLimitError
 MAX_BINS = 10**7
@@ -319,24 +314,3 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
         _bin_into(energy_sums, om[keep], 2 * block[m[keep]].astype(np.int64), T, delta_omega)
     return _spectrum(energy_sums, delta_omega, volume, layout)
 
-
-def weyl_density(omega, T, desc: GeometryDescriptors):
-    """Three-term Weyl asymptotic spectral density, signed, J s/(rad m^3).
-
-    (hbar w^3/(pi^2 c^3) - (A/V) hbar w^2/(4 pi c^2) + (M/V) hbar w/(3 pi^2 c))
-    / (e^{hbar w/k_B T} - 1), written through the mean oscillator energy so
-    omega = 0 returns the analytic limit. With A = M = 0 this is exactly the
-    Planck density. Negative values are returned as computed; where the mean
-    energy is 0 the density is 0.0. A density beyond the float range raises
-    ValueError.
-    """
-    energy = mean_oscillator_energy(omega, T)
-    omega = np.where(energy > 0.0, omega, 0.0)  # there the density is 0, as in planck_density
-    with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
-        dos = (
-            omega**2 / (math.pi**2 * C_LIGHT**3)
-            - (desc.A / desc.V) * omega / (4.0 * math.pi * C_LIGHT**2)
-            + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)
-        )
-        out = finite_density(dos * energy)
-    return float(out) if out.ndim == 0 else out

@@ -21,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .binned import _bin_layout, binned_density, cube_binned_density, weyl_density
+from .binned import _bin_layout, binned_density, cube_binned_density
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .modes import enumerate_box_modes, enumerate_sphere_modes
-from .planck import planck_density
+from .planck import planck_density, weyl_density
 from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
 from .validate import finite_real
 
@@ -184,10 +184,7 @@ def compute(cfg):
     geom, warnings = cfg.geom, []
     if cfg.geometry != "film":  # the density divides by a rod area or a volume
         what = "rod area" if cfg.geometry == "rod" else cfg.geometry + " volume"
-        try:
-            measure = geom.L1 * geom.L2 if cfg.geometry == "rod" else geom.volume
-        except OverflowError:  # a sphere's radius**3
-            measure = None
+        measure = geom.L1 * geom.L2 if cfg.geometry == "rod" else geom.volume
         finite_real(measure, "the %s from --%s is 0 or too large for a float"
                     % (what, _GEOMETRIES[cfg.geometry][1]))
     if cfg.geometry in ("film", "rod"):

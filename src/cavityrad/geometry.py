@@ -176,7 +176,10 @@ class SphereGeometry:
 
     @property
     def volume(self):
-        return 4.0 / 3.0 * math.pi * self.radius**3
+        try:
+            return 4.0 / 3.0 * math.pi * self.radius**3
+        except OverflowError:  # past the float range: inf, as BoxGeometry.volume
+            return math.inf
 
 
 @dataclass(frozen=True)
@@ -209,9 +212,7 @@ def descriptors_for(geom):
             M=math.pi * (l1 + l2 + l3),
         )
     if isinstance(geom, SphereGeometry):
+        V = finite_real(geom.volume, "V must be a positive finite volume")  # so r**2 is finite
         r = geom.radius
-        try:
-            return GeometryDescriptors(V=geom.volume, A=4.0 * math.pi * r**2, M=4.0 * math.pi * r)
-        except OverflowError:  # r**2 or r**3 beyond the float range
-            raise ValueError("V must be a positive finite volume") from None
+        return GeometryDescriptors(V=V, A=4.0 * math.pi * r**2, M=4.0 * math.pi * r)
     raise TypeError("descriptors are defined for BoxGeometry and SphereGeometry only")

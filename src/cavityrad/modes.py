@@ -123,20 +123,20 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     return ModeList(om_u, 2 * counts, omega_max)
 
 
-def enumerate_sphere_modes(geom: SphereGeometry, omega_max,
-                           max_lattice_points=DEFAULT_LATTICE_CAP):
+def enumerate_sphere_modes(geom: SphereGeometry, omega_max):
     """Scalar Dirichlet sphere spectrum omega = c*x_{n,l}/R as a ModeList.
 
     Each Bessel zero contributes multiplicity 2*(2l+1): the spherical
-    harmonic degeneracy times the global polarization factor.
+    harmonic degeneracy times the global polarization factor. An estimate of
+    DEFAULT_LATTICE_CAP zeros or more raises ResourceLimitError.
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     radius = geom.radius
     x_max = omega_max * radius / C_LIGHT
     estimate = x_max * x_max / 8.0 + x_max  # zero-count estimate; may be inf
-    if not estimate < max_lattice_points:
+    if not estimate < DEFAULT_LATTICE_CAP:
         raise ResourceLimitError(int(estimate) + 1 if math.isfinite(estimate) else estimate,
-                                 max_lattice_points, "Bessel zeros")
+                                 DEFAULT_LATTICE_CAP, "Bessel zeros")
     if x_max < math.pi:  # no zero; also an x_max that underflows to 0, which the table refuses
         return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
     table = build_bessel_zero_table(x_max)

@@ -1,9 +1,11 @@
-"""Planck spectral quantities for the infinite cavity.
+"""Planck spectral quantities for the infinite cavity and the Weyl asymptotics.
 
 The spectral energy density u(omega, T) is energy per unit volume per unit
 angular frequency, J s/(rad m^3). Everything is expressed through the mean
 thermal oscillator energy so that the omega -> 0 limits are analytic instead
-of NaN (grids routinely contain omega = 0).
+of NaN (grids routinely contain omega = 0). The Planck density is the A = M = 0
+case of the three-term Weyl density, which is signed and intentionally not
+clamped: its negative values at small cavity sizes are a physical finding.
 """
 
 from __future__ import annotations
@@ -13,16 +15,20 @@ import math
 import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
+from .geometry import GeometryDescriptors
 from .validate import finite_density, finite_real
 
 __all__ = [
     "mean_oscillator_energy",
     "planck_density",
+    "weyl_density",
     "radiation_constant",
     "planck_total_energy_density",
     "planck_energy_fraction_below",
     "planck_peak_frequency",
 ]
+
+_D0 = GeometryDescriptors(V=1.0, A=0.0, M=0.0)  # the infinite cavity: no surface or edges
 
 #: Stefan-Boltzmann-type radiation constant a in u_total = a T^4, J/(m^3 K^4)
 radiation_constant = math.pi**2 * K_B**4 / (15.0 * HBAR**3 * C_LIGHT**3)
@@ -87,17 +93,32 @@ def mean_oscillator_energy(omega, T):
     return float(out) if out.ndim == 0 else out
 
 
-def planck_density(omega, T):
-    """Planck spectral energy density of the infinite cavity, J s/(rad m^3).
+def weyl_density(omega, T, desc: GeometryDescriptors):
+    """Three-term Weyl asymptotic spectral density, signed, J s/(rad m^3).
 
-    0.0 where the mean oscillator energy is 0, however large omega**2 is. A
-    density beyond the float range raises ValueError."""
+    (hbar w^3/(pi^2 c^3) - (A/V) hbar w^2/(4 pi c^2) + (M/V) hbar w/(3 pi^2 c))
+    / (e^{hbar w/k_B T} - 1), written through the mean oscillator energy so
+    omega = 0 returns the analytic limit; A = M = 0 is the Planck density.
+    Negative values are returned as computed; where the mean energy is 0 the
+    density is 0.0, however large omega**2 is. A density beyond the float
+    range raises ValueError. Computed in float64 for any dtype of omega.
+    """
     omega, T = _validate(omega, T)
     energy = mean_oscillator_energy(omega, T)
     omega = np.where(energy > 0.0, omega, 0.0)  # there omega**2 may be inf, and inf * 0 nan
     with np.errstate(over="ignore", invalid="ignore"):  # refused by finite_density
-        out = finite_density(omega**2 / (math.pi**2 * C_LIGHT**3) * energy)
+        dos = (
+            omega**2 / (math.pi**2 * C_LIGHT**3)
+            - (desc.A / desc.V) * omega / (4.0 * math.pi * C_LIGHT**2)
+            + (desc.M / desc.V) / (3.0 * math.pi**2 * C_LIGHT)
+        )
+        out = finite_density(dos * energy)
     return float(out) if out.ndim == 0 else out
+
+
+def planck_density(omega, T):
+    """Planck spectral energy density, J s/(rad m^3): weyl_density at A = M = 0."""
+    return weyl_density(omega, T, _D0)
 
 
 def planck_total_energy_density(T):

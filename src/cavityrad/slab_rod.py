@@ -200,17 +200,17 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
     s = _kept_k2(geom, bc, k_cap)
-    k2 = k * k
-    n = s.searchsorted(k2)  # admitted modes: s < k^2
-    singular = {}
-    if threshold_guard > 0.0:
+    with np.errstate(over="ignore"):  # an overflowed square is inf: it admits every finite entry
+        k2 = k * k
         i0 = s.searchsorted((k * (1.0 - threshold_guard)) ** 2)
         i1 = s.searchsorted((k * (1.0 + threshold_guard)) ** 2)
-        for i in (i1 > i0).nonzero()[0].tolist():
-            k_perp = math.sqrt(s[i0[i]])
-            singular[i] = ThresholdSingularityError(
-                float(omega[i]), *_mode_indices(geom, bc, k_perp, k_cap), k_perp)
-            n[i] = 0
+    n = s.searchsorted(k2)  # admitted modes: s < k^2
+    singular = {}
+    for i in (i1 > i0).nonzero()[0].tolist():  # none at threshold_guard = 0
+        k_perp = math.sqrt(s[i0[i]])
+        singular[i] = ThresholdSingularityError(
+            float(omega[i]), *_mode_indices(geom, bc, k_perp, k_cap), k_perp)
+        n[i] = 0
     # ascending s = ascending term magnitude keeps each sum well conditioned;
     # each sample's terms live in one buffer, so the sum adds no peak memory
     totals = []
@@ -274,6 +274,8 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     if i == first:
         raise ValueError("omega lies below the first transverse threshold")
     a, b = C_LIGHT * math.sqrt(s[i - 1]), C_LIGHT * math.sqrt(s[i])
+    if not b * b < math.inf:  # then every omega^2 of the window is formed finite
+        raise ValueError("the threshold window exceeds the float range")
     mid_all = 0.5 * (a + b)
     s_adm = s[:s.searchsorted((mid_all / C_LIGHT) ** 2)]  # the sorted entries below it
 

@@ -112,6 +112,40 @@ def test_jl_small_argument_series():
         assert np.allclose(spherical_jl(l, x), x**l / dfact, rtol=1e-6)
 
 
+# below 1e-8 spherical_jl uses the small-argument series: the recurrence
+# overflowed below about 1e-55 and returned 0.0 (or a warning) there
+TINY_X = np.concatenate(([5e-324, 1e-323, 1e-310, 2.2250738585072014e-308],
+                         np.geomspace(1e-320, 1e-8, 300)))
+
+
+@pytest.mark.parametrize("l", [2, 3, 5, 10, 50])
+def test_jl_at_tiny_x_against_mpmath(l):
+    mpmath = pytest.importorskip("mpmath")
+    got = spherical_jl(l, TINY_X)
+    with mpmath.workdps(40):
+        ref = np.array([float(mpmath.sqrt(mpmath.pi / (2 * mpmath.mpf(x)))
+                              * mpmath.besselj(l + 0.5, mpmath.mpf(x))) for x in TINY_X])
+    normal = ref >= 2.2250738585072014e-308
+    assert np.all(np.abs(got - ref)[normal] <= 1e-13 * ref[normal])
+    assert np.all(np.abs(got - ref)[~normal] <= 1e-323)
+    for i in range(3):  # scalar calls; 1/x overflows at 5e-324
+        assert spherical_jl(l, float(TINY_X[i])) == got[i]
+
+
+def test_jl_series_and_recurrence_points_in_one_call():
+    # the recurrence points get the values of a call on them alone, the
+    # series points those of a call on each alone
+    x = np.array([1e-60, 2.0, 1e-8, 9.99e-9, 0.0, 40.0, 1e-100])
+    series = (x > 0.0) & (x < 1e-8)
+    for l in (2, 3, 7):
+        got = spherical_jl(l, x)
+        assert np.array_equal(got[~series], spherical_jl(l, x[~series]))
+        assert np.array_equal(got[series], [spherical_jl(l, v) for v in x[series]])
+    assert spherical_jl(2, 1e-60) == pytest.approx(6.666666666666666e-122, rel=1e-15)
+    assert spherical_jl(3, 1e-100) == pytest.approx(9.523809523809524e-303, rel=1e-15)
+    assert spherical_jl(10**9, 1e-10) == 0.0  # the series takes no recurrence steps
+
+
 def test_jl_against_upward_recurrence_in_oscillatory_zone():
     from cavityrad.bessel import _jl_pair
 

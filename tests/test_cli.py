@@ -601,3 +601,44 @@ def test_comparison_columns_zero_at_a_huge_bin_center():
 
     data = json.loads(r.stdout, parse_constant=refuse)  # NaN and Infinity are not JSON
     assert [s["values"] for s in data["series"][1:]] == [[0.0], [0.0]]
+
+
+# a rod whose (omega/c)^2 overflows on the upper two samples
+HUGE_K_ROD_RUN = ("spectrum", "--geometry", "rod", "--bc", "dirichlet", "--lengths",
+                  "1e-160,1e-148", "--omega-max", "1e163", "--temperature", "300",
+                  "--samples", "3")
+
+
+def test_rod_grid_past_the_square_range_prints_no_warning():
+    r = run_cli(*HUGE_K_ROD_RUN)
+    assert r.returncode == 0 and r.stderr == ""
+    assert r.stdout.splitlines()[1:] == ["0.0,0.0", "5e+162,0.0", "1e+163,0.0"]
+
+
+def exit_code_cases():
+    flags = {"film": ("--length", "{L}"), "rod": ("--lengths", "{L},{L}"),
+             "box": ("--lengths", "{L},{L},{L}"), "sphere": ("--diameter", "{L}")}
+    for geometry, (flag, value) in flags.items():
+        for length in ("5e-324", "1e-300", "1e300", "1.7e308", "1e-5"):
+            for T in ("5e-324", "300", "1e300"):
+                for omega_max in ("5e-324", "1e15", "1e300"):
+                    yield ("spectrum", "--geometry", geometry, "--bc", "dirichlet", flag,
+                           value.format(L=length), "--temperature", T,
+                           "--omega-max", omega_max)
+    yield HUGE_K_ROD_RUN
+
+
+def test_exit_code_matrix(capsys):
+    # every input ends in a documented exit code; a refusal prints one error
+    # line, and no warning escapes
+    cases = list(exit_code_cases())
+    assert len(cases) == 181
+    for args in cases:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = cli.main(list(args))
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), args
+        assert caught == [], (args, [str(w.message) for w in caught])
+        if code:
+            assert err.startswith("error: ") and err.count("\n") == 1, (args, err)

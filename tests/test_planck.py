@@ -1,6 +1,7 @@
 """Planck-side oracles: trivial limits, extended-precision spot values,
 closed-form totals, and the scaling/monotonicity invariants."""
 
+import importlib
 import math
 import warnings
 from decimal import Decimal, getcontext
@@ -14,6 +15,8 @@ from cavityrad import (
     C_LIGHT,
     HBAR,
     K_B,
+    SphereGeometry,
+    descriptors_for,
     mean_oscillator_energy,
     planck_density,
     planck_energy_fraction_below,
@@ -21,6 +24,7 @@ from cavityrad import (
     planck_total_energy_density,
     quadrature_total_energy,
     radiation_constant,
+    weyl_density,
 )
 
 # frozen from the extended-precision oracle below (60-digit Decimal)
@@ -234,3 +238,71 @@ def test_total_energy_and_peak_past_t4_and_the_float_range():
         planck_total_energy_density(1e81)
     with pytest.raises(ValueError, match="peak frequency exceeds the float range"):
         planck_peak_frequency(1e300)
+
+
+def former_planck_density(omega, T):
+    """planck_density as it was, a formula of its own; it is now weyl_density
+    with A = M = 0."""
+    from cavityrad.planck import _validate
+    from cavityrad.validate import finite_density
+
+    omega, T = _validate(omega, T)
+    energy = mean_oscillator_energy(omega, T)
+    omega = np.where(energy > 0.0, omega, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = finite_density(omega**2 / (math.pi**2 * C_LIGHT**3) * energy)
+    return float(out) if out.ndim == 0 else out
+
+
+def outcome(density, omega, T):
+    """(type, dtype, bytes) of a result, or (type, message) of a refusal."""
+    try:
+        out = density(omega, T)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+    return type(out), getattr(out, "dtype", None), np.asarray(out).tobytes()
+
+
+def planck_identity_cases():
+    omegas = np.concatenate(([0.0], np.geomspace(5e-324, 1.7e308, 2003)))
+    for T in np.geomspace(5e-324, 1.7e308, 7).tolist():
+        # the omegas the formula keeps in the float range, and then all of them
+        with np.errstate(over="ignore", invalid="ignore"):
+            kept = omegas[np.isfinite(omegas**2 * mean_oscillator_energy(omegas, T))]
+        yield from [(kept, T), (omegas, T), (kept[kept < 3e38].astype(np.float32), T),
+                    (np.arange(0, 10**6, 997), T), (kept[::40].tolist(), T),
+                    (float(kept[kept.size // 2]), T), (10**14, T)]
+    for omega, T in [(math.nan, 300.0), (-1.0, 300.0), (math.inf, 300.0), ([1.0, math.nan], 300.0),
+                     (1e14, 0.0), (1e14, -1.0), (1e14, math.nan), (1e14, math.inf),
+                     (1e14, "300")]:
+        yield omega, T
+
+
+def test_planck_density_is_the_former_formula_bit_for_bit():
+    cases = list(planck_identity_cases())
+    assert len(cases) == 58
+    for omega, T in cases:
+        assert outcome(planck_density, omega, T) == outcome(former_planck_density, omega, T), \
+            (omega, T)
+
+
+def test_weyl_density_of_float32_omegas_is_computed_in_float64():
+    desc = descriptors_for(SphereGeometry(1e-5))
+    w = np.linspace(0.0, 1e15, 2001, dtype=np.float32)
+    got = weyl_density(w, 300.0, desc)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, weyl_density(w.astype(np.float64), 300.0, desc))
+
+
+# the modules whose public callables a per-layer profile wraps, by __all__
+LAYER_MODULES = ["cli", "figures", "bessel", "modes", "binned", "slab_rod", "planck", "io"]
+
+
+@pytest.mark.parametrize("name", LAYER_MODULES)
+def test_layer_all_names_exist_and_are_defined_in_their_module(name):
+    # a re-exported callable would be timed under another module's name
+    module = importlib.import_module("cavityrad." + name)
+    for attr in module.__all__:
+        value = getattr(module, attr)
+        if callable(value):
+            assert value.__module__ == module.__name__, attr

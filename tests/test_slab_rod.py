@@ -896,3 +896,26 @@ def test_rod_of_an_area_below_the_float_range_refused():
                  lambda: rod_density(0.0, 300.0, rod, BoundaryCondition.PERIODIC)):
         with pytest.raises(ValueError, match="density exceeds the float range"):
             call()
+
+
+# (omega/c)^2 overflows from ~4e162 rad/s; the periodic modes of this
+# cross-section below 1e163 rad/s (k1 = 0, ~1.1e6 values of k2) fit the table cap
+HUGE_K_ROD = RodGeometry(1e-160, 1e-148)
+
+
+def test_rod_density_where_k_squared_overflows_is_zero_where_the_mean_energy_is():
+    # an overflowed k^2 is inf and admits every finite table entry, with no warning
+    assert mean_oscillator_energy(1e163, 300.0) == 0.0
+    assert rod_density(1e163, 300.0, HUGE_K_ROD, BoundaryCondition.PERIODIC) == 0.0
+
+
+def test_rod_density_where_k_squared_overflows_refused_past_the_float_range():
+    assert mean_oscillator_energy(1e163, 1e300) > 0.0
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        rod_density(1e163, 1e300, HUGE_K_ROD, BoundaryCondition.PERIODIC)
+
+
+def test_rod_window_where_k_squared_overflows_refused():
+    # the window's upper threshold squared leaves the float range
+    with pytest.raises(ValueError, match="window exceeds the float range"):
+        rod_window_average(1e163, 300.0, HUGE_K_ROD, BoundaryCondition.PERIODIC)

@@ -22,7 +22,7 @@ from .errors import ConvolutionExactnessError, ResourceLimitError
 from .geometry import CUT_MARGIN, BoundaryCondition, axis_wavenumbers, disc_sums, quantization
 from .modes import ModeList
 from .planck import mean_oscillator_energy
-from .validate import finite_real
+from .validate import finite_density, finite_real
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "MAX_BINS",
            "MAX_CUBE_NORMS"]
@@ -85,17 +85,21 @@ def _bin_into(energy_sums, omegas, multiplicities, T, delta_omega):
 
 def _spectrum(energy_sums, delta_omega, volume, layout):
     n_bins, partial = layout
+    with np.errstate(over="ignore"):  # refused by finite_density
+        u = finite_density(energy_sums / (volume * delta_omega))
     return BinnedSpectrum(
         delta_omega=float(delta_omega),
         omega_left=np.arange(n_bins) * float(delta_omega),
-        u=energy_sums / (volume * delta_omega),
+        u=u,
         volume=float(volume),
         last_bin_partial=partial,
     )
 
 
 def binned_density(modes: ModeList, T, delta_omega, volume):
-    """Binned spectral density of a ModeList, J s/(rad m^3) per bin."""
+    """Binned spectral density of a ModeList, J s/(rad m^3) per bin.
+
+    A density beyond the float range raises ValueError."""
     layout = _bin_layout(modes.omega_max, delta_omega, volume)
     energy_sums = np.zeros(layout[0])
     _bin_into(energy_sums, modes.omegas, modes.multiplicities, T, delta_omega)
@@ -265,13 +269,14 @@ def _norm_bound(omega_max, unit):
 
 
 @functools.lru_cache(maxsize=1)
-def _cube_counts(side, bc, m_max):
+def _cube_counts(bc, m_max):
     """r3[m] of a cube's labels for m <= m_max, read-only, in the smallest
     unsigned dtype that holds them (uint16 for the 1 cm cubes, at most uint32
-    below MAX_CUBE_NORMS). The last cube's counts stay in this one slot."""
+    below MAX_CUBE_NORMS). They do not depend on the side. The last counts
+    stay in this one slot."""
     _, offset, _ = quantization(bc)
     scale = 2 if offset else 1
-    _, n = axis_wavenumbers(side, bc, math.isqrt(m_max) + 1)
+    _, n = axis_wavenumbers(1.0, bc, math.isqrt(m_max) + 1)  # the labels only
     r3 = _exact_counts_by_convolution(scale * n + int(scale * offset), m_max)
     counts = r3.astype(np.min_scalar_type(r3.max()))
     counts.flags.writeable = False
@@ -289,8 +294,9 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     but stays cheap for desk-scale cavities as large as centimeters. More
     than MAX_CUBE_NORMS integer norms, or more than MAX_BINS bins, raise
     ResourceLimitError before the norm arrays exist. The counts of the last
-    (side, bc, norm bound) are kept, so a call on the same cube at another
-    T or bin width skips the convolution and only bins them.
+    (bc, norm bound) are kept, so a call on the same cube at another T or
+    bin width skips the convolution and only bins them. A density beyond
+    the float range raises ValueError.
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
@@ -301,7 +307,7 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)
-    r3 = _cube_counts(side, bc, m_max)
+    r3 = _cube_counts(bc, m_max)
     # binned a block of norms at a time, in norm order; the loop runs at least
     # once, so T is checked even when no norm lies below the cutoff
     energy_sums = np.zeros(layout[0])

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
+import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -64,6 +65,9 @@ _KEYS = {
     "format": (str, "csv", "csv (default) or json"),
 }
 
+# the geometries sampled on a grid; box and sphere spectra are binned
+_SAMPLED = ("film", "rod")
+
 # geometry -> (class, run key of its lengths, number of lengths)
 _GEOMETRIES = {
     "film": (FilmGeometry, "length", 1),
@@ -73,44 +77,11 @@ _GEOMETRIES = {
 }
 
 
-@dataclass
-class RunConfig:
-    geometry: str
-    bc: BoundaryCondition
-    lengths: tuple
-    geom: object  # built from lengths, which it checks
-    temperature: float
-    omega_min: float
-    omega_max: float
-    samples: int
-    delta_omega: float
-    compare: tuple
-    fmt: str
-    output: str
-
-    def echo(self):
-        cfg = {
-            "geometry": self.geometry,
-            "bc": self.bc.value,
-            "temperature_K": self.temperature,
-        }
-        if self.geometry == "sphere":
-            cfg["diameter_m"] = self.lengths[0]
-        else:
-            cfg["lengths_m"] = list(self.lengths)
-        if self.geometry in ("film", "rod"):
-            cfg["omega_min_rad_s"] = self.omega_min
-            cfg["omega_max_rad_s"] = self.omega_max
-            cfg["samples"] = self.samples
-        else:
-            cfg["omega_max_rad_s"] = self.omega_max
-            cfg["delta_omega_rad_s"] = self.delta_omega
-        cfg["compare"] = list(self.compare)
-        return cfg
-
-
 def _build_config(pairs):
-    """RunConfig of (run key, text) pairs; a later pair wins, unset keys take defaults."""
+    """The run record of (run key, text) pairs; a later pair wins, unset keys take defaults.
+
+    Its attributes are the run keys with '-' as '_', converted and checked,
+    plus geom, built from the lengths, and sampled."""
     v = {key: default for key, (_, default, _) in _KEYS.items()}
     for key, text in pairs:
         if key not in _KEYS:
@@ -119,57 +90,72 @@ def _build_config(pairs):
             v[key] = _KEYS[key][0](text)
         except ValueError:
             raise UsageError("bad --%s value %r" % (key, text)) from None
-    geometry = v["geometry"]
-    if geometry is None:
+    cfg = SimpleNamespace(**{key.replace("-", "_"): value for key, value in v.items()})
+    if cfg.geometry is None:
         raise UsageError("--geometry is required")
-    if geometry not in _GEOMETRIES:
+    if cfg.geometry not in _GEOMETRIES:
         raise UsageError("--geometry must be film, rod, box or sphere")
-    if geometry == "sphere":
-        if v["bc"] not in (None, "dirichlet"):
+    if cfg.geometry == "sphere":
+        if cfg.bc not in (None, "dirichlet"):
             raise UsageError("a sphere admits only the dirichlet boundary condition")
-        bc = BoundaryCondition.DIRICHLET
+        cfg.bc = BoundaryCondition.DIRICHLET
     else:
-        if v["bc"] is None:
-            raise UsageError("--bc is required for %s" % geometry)
+        if cfg.bc is None:
+            raise UsageError("--bc is required for %s" % cfg.geometry)
         try:
-            bc = BoundaryCondition(v["bc"])
+            cfg.bc = BoundaryCondition(cfg.bc)
         except ValueError:
             raise UsageError("--bc must be periodic, antiperiodic or dirichlet") from None
-    cls, key, count = _GEOMETRIES[geometry]
+    cls, key, count = _GEOMETRIES[cfg.geometry]
     lengths = v[key]
     if lengths is None:
-        raise UsageError("%s needs --%s" % (geometry, key))
+        raise UsageError("%s needs --%s" % (cfg.geometry, key))
     if len(lengths) != count:
         raise UsageError("--%s needs %d comma-separated value(s) here" % (key, count))
-    geom = cls(*lengths)
-    temperature = finite_real(v["temperature"],
-                              "--temperature must be a positive number of kelvin")
-    omega_max = finite_real(v["omega-max"], "--omega-max must be > 0")
-    if not (0.0 <= v["omega-min"] < omega_max):
+    cfg.geom = cls(*lengths)
+    cfg.temperature = finite_real(cfg.temperature,
+                                  "--temperature must be a positive number of kelvin")
+    cfg.omega_max = finite_real(cfg.omega_max, "--omega-max must be > 0")
+    if not (0.0 <= cfg.omega_min < cfg.omega_max):
         raise UsageError("need 0 <= --omega-min < --omega-max")
-    if v["samples"] < 2:
+    if cfg.samples < 2:
         raise UsageError("--samples must be >= 2")
-    delta_omega = finite_real(v["delta-omega"], "--delta-omega must be > 0")
-    compare = tuple(p for p in v["compare"].split(",") if p)
-    for c in compare:
+    cfg.delta_omega = finite_real(cfg.delta_omega, "--delta-omega must be > 0")
+    cfg.compare = tuple(p for p in cfg.compare.split(",") if p)
+    for c in cfg.compare:
         if c not in ("planck", "weyl"):
             raise UsageError("--compare entries must be planck or weyl")
-    if "weyl" in compare and geometry in ("film", "rod"):
+    cfg.sampled = cfg.geometry in _SAMPLED
+    if "weyl" in cfg.compare and cfg.sampled:
         raise UsageError("weyl comparison needs a closed cavity (box or sphere)")
-    if v["format"] not in ("csv", "json"):
+    if cfg.format not in ("csv", "json"):
         raise UsageError("--format must be csv or json")
-    return RunConfig(
-        geometry=geometry, bc=bc, lengths=lengths, geom=geom, temperature=temperature,
-        omega_min=v["omega-min"], omega_max=omega_max, samples=v["samples"],
-        delta_omega=delta_omega, compare=compare, fmt=v["format"],
-        output=v["output"] or "-",
-    )
+    cfg.output = cfg.output or "-"
+    return cfg
 
 
-def _mode_list(cfg, geom):
+def _echo(cfg, command):
+    """The config echo of a JSON run, in its fixed key order."""
+    echo = {"command": command, "geometry": cfg.geometry, "bc": cfg.bc.value,
+            "temperature_K": cfg.temperature}
+    lengths = list(dataclasses.astuple(cfg.geom))  # the parsed floats
     if cfg.geometry == "sphere":
-        return enumerate_sphere_modes(geom, cfg.omega_max)
-    return enumerate_box_modes(geom, cfg.bc, cfg.omega_max)
+        echo["diameter_m"] = lengths[0]
+    else:
+        echo["lengths_m"] = lengths
+    if cfg.sampled:
+        echo.update(omega_min_rad_s=cfg.omega_min, omega_max_rad_s=cfg.omega_max,
+                    samples=cfg.samples)
+    else:
+        echo.update(omega_max_rad_s=cfg.omega_max, delta_omega_rad_s=cfg.delta_omega)
+    echo["compare"] = list(cfg.compare)
+    return echo
+
+
+def _mode_list(cfg):
+    if cfg.geometry == "sphere":
+        return enumerate_sphere_modes(cfg.geom, cfg.omega_max)
+    return enumerate_box_modes(cfg.geom, cfg.bc, cfg.omega_max)
 
 
 def compute(cfg):
@@ -187,7 +173,7 @@ def compute(cfg):
         measure = geom.L1 * geom.L2 if cfg.geometry == "rod" else geom.volume
         finite_real(measure, "the %s from --%s is 0 or too large for a float"
                     % (what, _GEOMETRIES[cfg.geometry][1]))
-    if cfg.geometry in ("film", "rod"):
+    if cfg.sampled:
         if cfg.samples > MAX_SAMPLES:
             raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
         omega = grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
@@ -209,7 +195,7 @@ def compute(cfg):
             spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
                                        cfg.omega_max)
         else:
-            spec = binned_density(_mode_list(cfg, geom), cfg.temperature, cfg.delta_omega,
+            spec = binned_density(_mode_list(cfg), cfg.temperature, cfg.delta_omega,
                                   geom.volume)
         omega, values, grid = spec.omega_left, [float(v) for v in spec.u], spec.omega_centers
     series = [("spectrum", omega, values)]
@@ -225,8 +211,7 @@ def compute(cfg):
 
 def _csv_lines(cfg, series):
     """CSV lines of a spectrum run: omega, the spectrum, then each comparison."""
-    header = ["omega_left_rad_s" if cfg.geometry in ("box", "sphere") else "omega_rad_s",
-              "u_J_s_m3"]
+    header = ["omega_rad_s" if cfg.sampled else "omega_left_rad_s", "u_J_s_m3"]
     # reference columns for binned runs are evaluated at bin centers
     header += ["%s_J_s_m3" % name for name, _, _ in series[1:]]
     columns = [[float(w) for w in series[0][1]]] + [values for _, _, values in series]
@@ -234,11 +219,11 @@ def _csv_lines(cfg, series):
 
 
 def _emit(cfg, command, series, warnings):
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         _write_lines(cfg.output, _csv_lines(cfg, series))
     else:
         payload = {
-            "config": dict(command=command, **cfg.echo()),
+            "config": _echo(cfg, command),
             "series": [
                 {"name": name, "omega": [float(w) for w in omega], "values": values}
                 for name, omega, values in series
@@ -259,7 +244,7 @@ def _write_lines(output, lines):
 
 
 def _args_config(ns):
-    """RunConfig of a spectrum or modes command line; flags win over --config lines."""
+    """The run record of a spectrum or modes command line; flags win over --config lines."""
     pairs = []
     if getattr(ns, "config", None):
         with open(ns.config, "r", encoding="utf-8") as fh:
@@ -277,9 +262,9 @@ def run_spectrum(ns):
 
 def run_modes(ns):
     cfg = _args_config(ns)
-    if cfg.geometry not in ("box", "sphere"):
+    if cfg.sampled:
         raise UsageError("modes are enumerated for box and sphere geometries only")
-    modes = _mode_list(cfg, cfg.geom)
+    modes = _mode_list(cfg)
     _write_lines(cfg.output, modes_csv_lines(modes))
     print(
         "modes: %d distinct frequencies, N(<=omega_max)=%d"

@@ -161,7 +161,8 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
         If omega/c lies within the guard window of an admitted or boundary
         mode, where the pointwise density is genuinely unbounded.
     ValueError
-        If the density exceeds the float range.
+        If the density exceeds the float range, or if (omega/c)^2 does while
+        the mean oscillator energy is positive.
     """
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     message = "threshold_guard must be finite, >= 0 and < 1"
@@ -195,7 +196,8 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     ThresholdSingularityError; those samples sum to 0.0. Each sum is the one
     a table sized to its own omega gives, bit for bit: the entries below
     (omega/c)^2 are the same sorted prefix for any table that covers omega,
-    and each sample sums its own prefix.
+    and each sample sums its own prefix. Where (omega/c)^2 overflows, each
+    term would be 0, so a sample that admits a mode sums to inf instead.
     """
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
@@ -215,6 +217,9 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     # each sample's terms live in one buffer, so the sum adds no peak memory
     totals = []
     for kk, m in zip(k2.tolist(), n.tolist()):
+        if kk == math.inf:
+            totals.append(math.inf if m else 0.0)
+            continue
         t = np.subtract(kk, s[:m])
         np.sqrt(t, out=t)
         totals.append(float(np.sum(np.divide(1.0, t, out=t))))
@@ -223,11 +228,13 @@ def _rod_sums(omega, geom, bc, threshold_guard):
 
 def _rod_values(omega, T, geom, totals):
     """Densities 2 omega eps(omega, T)/(pi c^2 L1 L2) * totals of the mode sums
-    at omega, eps the mean oscillator energy; checks T and refuses overflow."""
+    at omega, eps the mean oscillator energy; checks T and refuses overflow.
+    As in weyl_density, an inf sum gives 0.0 where eps is 0."""
     with np.errstate(all="ignore"):  # a density that is not finite is refused
-        return finite_density(np.divide(2.0 * omega * mean_oscillator_energy(omega, T),
+        energy = mean_oscillator_energy(omega, T)
+        return finite_density(np.divide(2.0 * omega * energy,
                                         math.pi * C_LIGHT**2 * geom.L1 * geom.L2)
-                              * np.asarray(totals))
+                              * np.where(energy > 0.0, totals, 0.0))
 
 
 def _mode_indices(geom, bc, k_perp, k_cap):

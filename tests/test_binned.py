@@ -382,11 +382,13 @@ def test_cube_counts_are_kept_for_another_temperature(bc, monkeypatch):
                         lambda j, m: seen.append((m, exact(j, m))) or seen[-1][1])
     kept = [cube_binned_density(side, bc, T, dw, omega_max).u for T in temps]
     assert len(seen) == 1  # the second temperature reads the kept counts
+    cube_binned_density(2.0 * side, bc, 300.0, dw, 0.5 * omega_max)  # the same norm bound
+    assert len(seen) == 1  # the counts do not depend on the side
     for T, u in zip(temps, kept):
         binned._cube_counts.cache_clear()
         assert u.tobytes() == cube_binned_density(side, bc, T, dw, omega_max).u.tobytes()
     m_max, r3 = seen[-1]
-    counts = binned._cube_counts(side, bc, m_max)
+    counts = binned._cube_counts(bc, m_max)
     assert len(seen) == 3  # a hit on the slot the last call filled
     assert not counts.flags.writeable and np.array_equal(counts, r3)
     assert counts.dtype.kind == "u" and counts.dtype == np.min_scalar_type(r3.max())
@@ -405,9 +407,9 @@ def test_narrow_cube_counts_bin_like_int64_counts(monkeypatch):
                         lambda j, m: seen.append(exact(j, m)) or seen[-1])
     u = cube_binned_density(*args).u
     [r3] = seen
-    assert binned._cube_counts(*args[:2], r3.size - 1).dtype == np.uint16
+    assert binned._cube_counts(args[1], r3.size - 1).dtype == np.uint16
     assert r3.max() > np.iinfo(np.uint16).max // 2
-    monkeypatch.setattr(binned, "_cube_counts", lambda side, bc, m_max: r3)
+    monkeypatch.setattr(binned, "_cube_counts", lambda bc, m_max: r3)
     assert u.tobytes() == cube_binned_density(*args).u.tobytes()
 
 
@@ -569,3 +571,16 @@ def test_sphere_volume_past_the_float_range_is_inf_and_refused_downstream():
     for diameter in (1e200, 1e300):  # r**3 overflows; at 1e300 r**2 too
         with pytest.raises(ValueError, match="^V must be a positive finite volume$"):
             descriptors_for(SphereGeometry(diameter))
+
+
+def test_binned_density_beyond_the_float_range_refused():
+    # at 1e300 K one mode's energy, k_B*T per polarization, over a bin
+    # divisor volume * delta_omega of ~1e-31 m^3 rad/s leaves the float range
+    sphere = SphereGeometry(1e-20)  # one zero below 2e29 rad/s, at c*pi/R
+    modes = enumerate_sphere_modes(sphere, 2e29)
+    assert len(modes) == 1 and 0.0 < sphere.volume * 2e29 < 1e-30
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        binned_density(modes, 1e300, 2e29, sphere.volume)
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        cube_binned_density(1e-20, BoundaryCondition.PERIODIC, 1e300, 2e29, 2e29)
+    assert binned_density(modes, 1e290, 2e29, sphere.volume).u[0] < math.inf

@@ -1,13 +1,18 @@
 """End-to-end CLI runs via subprocess: formats, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavityrad import (
     C_LIGHT,
@@ -25,6 +30,9 @@ from cavityrad import (
     rod_density,
     rod_threshold_frequencies,
 )
+from cavityrad.binned import MAX_BINS, MAX_CUBE_NORMS
+from cavityrad.modes import DEFAULT_LATTICE_CAP
+from cavityrad.slab_rod import MAX_ROD_TABLE
 
 
 def run_cli(*args):
@@ -519,6 +527,26 @@ def test_json_config_echo_of_sampled_geometries(geometry, flags, capsys):
     ]
 
 
+@pytest.mark.parametrize("geometry, flags, size", [
+    ("box", ("--bc", "antiperiodic", "--lengths", "2e-5,3e-5,4e-5"),
+     ("lengths_m", [2e-5, 3e-5, 4e-5])),
+    ("box", ("--bc", "dirichlet", "--lengths", "1e-5,1e-5,1e-5"),  # a cube, no lattice scan
+     ("lengths_m", [1e-5, 1e-5, 1e-5])),
+    ("sphere", ("--diameter", "1e-5"), ("diameter_m", 1e-5)),
+], ids=["box", "cube", "sphere"])
+def test_json_config_echo_of_binned_geometries(geometry, flags, size, capsys):
+    assert cli.main(["spectrum", "--geometry", geometry, *flags, "--temperature", "300",
+                     "--omega-max", "1e14", "--delta-omega", "2.5e13", "--samples", "4",
+                     "--compare", "weyl,planck", "--format", "json"]) == 0
+    config = json.loads(capsys.readouterr().out)["config"]
+    assert list(config.items()) == [
+        ("command", "spectrum"), ("geometry", geometry),
+        ("bc", flags[1] if geometry == "box" else "dirichlet"), ("temperature_K", 300.0),
+        size, ("omega_max_rad_s", 1e14), ("delta_omega_rad_s", 2.5e13),
+        ("compare", ["weyl", "planck"]),
+    ]
+
+
 @pytest.mark.parametrize("flags", [
     ("--bc", "periodic", "--length", "1e300"),   # omega*L1 overflows to inf
     ("--bc", "dirichlet", "--length", "1e290"),  # finite, but past the int64 range
@@ -562,10 +590,14 @@ def test_bin_divisor_beyond_a_float_exit_2(flags):
 @pytest.mark.parametrize("flags", [
     ("--geometry", "film", "--bc", "periodic", "--length", "1e-300", "--omega-max", "1e10"),
     ("--geometry", "rod", "--bc", "periodic", "--lengths", "1e-100,2e-4", "--omega-max", "1e14"),
-], ids=["film", "rod"])
+    ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-20,1e-20,1e-20",
+     "--omega-max", "2e29", "--delta-omega", "2e29"),
+    ("--geometry", "sphere", "--diameter", "1e-20", "--omega-max", "2e29",
+     "--delta-omega", "2e29"),
+], ids=["film", "rod", "cube", "sphere"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_density_beyond_the_float_range_exit_2(flags, fmt):
-    # a tiny cross-section at a huge temperature: the prefactor overflows
+    # a tiny cross-section or volume at a huge temperature: the density overflows
     r = run_cli("spectrum", *flags, "--temperature", "1e300", "--samples", "3", "--format", fmt)
     assert r.returncode == 2, r.stderr
     assert r.stderr == "error: the density exceeds the float range\n"
@@ -615,6 +647,15 @@ def test_rod_grid_past_the_square_range_prints_no_warning():
     assert r.stdout.splitlines()[1:] == ["0.0,0.0", "5e+162,0.0", "1e+163,0.0"]
 
 
+def test_rod_grid_where_k_squared_overflows_at_a_positive_mean_energy_exit_2(capsys):
+    # both samples' (omega/c)^2 overflow while the mean energy stays positive
+    assert cli.main(["spectrum", "--geometry", "rod", "--bc", "periodic", "--lengths",
+                     "1e-160,1e-148", "--temperature", "1.09e149", "--omega-min", "9.5e162",
+                     "--omega-max", "1e163", "--samples", "2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: the density exceeds the float range\n"
+
+
 def exit_code_cases():
     flags = {"film": ("--length", "{L}"), "rod": ("--lengths", "{L},{L}"),
              "box": ("--lengths", "{L},{L},{L}"), "sphere": ("--diameter", "{L}")}
@@ -642,3 +683,131 @@ def test_exit_code_matrix(capsys):
         assert caught == [], (args, [str(w.message) for w in caught])
         if code:
             assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+
+
+# The exit-code property over random requests. Each value is drawn either
+# from the extreme floats below or from a required count that is small (and
+# accepted), between 1x and 4x a cap, or far beyond it, so every accepted
+# request stays small and every cap is met at its edge. Usage refusals have
+# their own tests above; here the flags are well formed.
+EXTREME_LENGTHS = (5e-324, 1e-300, 1e300, 1.7e308)
+EXTREME_RATES = (5e-324, 1e300)  # --temperature, --omega-max and --delta-omega
+
+
+def log_floats(lo, hi):
+    """Floats spread evenly in log10 from lo to hi."""
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda e: 10.0 ** e)
+
+
+def counts(cap, small=1e4):
+    """A required count: below one, small, 1x to 4x cap, or far beyond it."""
+    return st.one_of(log_floats(1e-12, 1.0), st.floats(1.0, small),
+                     st.floats(1.001 * cap, 4.0 * cap), log_floats(4.0 * cap, 1e300))
+
+
+def omega_for(count, geometry, lengths, bc, cube_norms):
+    """The --omega-max at which the request needs about count modes (never fewer)."""
+    L = lengths[0]
+    if geometry == "film":  # label count ~ omega L/(c pi) for every bc
+        return count * C_LIGHT * math.pi / L
+    if geometry == "rod":  # transverse lattice points ~ k^2 L1 L2/pi^2
+        return C_LIGHT * math.pi * math.sqrt(count) / math.sqrt(L) / math.sqrt(lengths[1])
+    if geometry == "sphere":  # the zero estimate x^2/8 + x at x = omega R/c
+        return 2.0 * count / (1.0 + math.sqrt(1.0 + count / 2.0)) * C_LIGHT * 2.0 / L
+    if cube_norms:  # integer norms (omega/unit)^2
+        return (2.0 if bc == "periodic" else 1.0) * math.pi * C_LIGHT / L * math.sqrt(count)
+    k = math.pi * count ** (1.0 / 3.0)  # lattice points ~ k^3 L1 L2 L3/pi^3
+    for side in lengths:
+        k /= side ** (1.0 / 3.0)
+    return C_LIGHT * k
+
+
+@st.composite
+def cli_requests(draw):
+    """(argv, over_cap): a spectrum or modes request, and whether it asks for
+    more than a cap allows."""
+    geometry = draw(st.sampled_from(["film", "rod", "box", "sphere"]))
+    command = draw(st.sampled_from(["spectrum"] * 4 + (["modes"] if geometry in ("box", "sphere")
+                                                       else [])))
+    bc = draw(st.sampled_from([None, "dirichlet"] if geometry == "sphere"
+                              else ["periodic", "antiperiodic", "dirichlet"]))
+    n = {"film": 1, "rod": 2, "box": 3, "sphere": 1}[geometry]
+    sampled = command == "spectrum" and geometry in ("film", "rod")
+    binned = command == "spectrum" and not sampled
+    edge = draw(st.sampled_from(["extremes", "count"] + (["samples"] if sampled else
+                                                           ["bins", "divisor"])))
+    samples = draw(st.integers(2, 64))
+    over = False
+    if edge == "extremes":
+        lengths = [draw(st.sampled_from(EXTREME_LENGTHS + (1e-5,))) for _ in range(n)]
+        omega_max = draw(st.sampled_from(EXTREME_RATES + (1e15,)))
+        delta = draw(st.sampled_from(EXTREME_RATES + (1e13,)))
+    else:
+        base = draw(st.one_of(st.sampled_from(EXTREME_LENGTHS), log_floats(5e-324, 1.7e308),
+                              log_floats(1e-8, 0.1)) if edge != "divisor" else
+                    log_floats(1e-100, 1e-2) | log_floats(1.0, 1e100))
+        cube = geometry == "box" and draw(st.booleans())
+        lengths = [base] + [base * (1.0 if cube else draw(st.sampled_from([1.0, 2.0, 3.0])))
+                            for _ in range(n - 1)]
+        cube_norms = command == "spectrum" and geometry == "box" and len(set(lengths)) == 1
+        cap = {"film": 2.0**63, "rod": MAX_ROD_TABLE, "sphere": DEFAULT_LATTICE_CAP}.get(
+            geometry, MAX_CUBE_NORMS if cube_norms else DEFAULT_LATTICE_CAP)
+        count = draw(counts(cap) if edge == "count" else st.floats(1e-3, 1e4))
+        bins = draw(counts(MAX_BINS) if edge == "bins" else st.floats(0.5, 1e3))
+        if edge == "samples":
+            samples = draw(st.integers(cli.MAX_SAMPLES + 1, 4 * cli.MAX_SAMPLES)
+                           | st.integers(4 * cli.MAX_SAMPLES, 10**30))
+        omega_max = omega_for(count, geometry, lengths, bc, cube_norms)
+        delta = omega_max / bins
+        volume = math.prod(lengths) if geometry == "box" else math.pi / 6.0 * base * base * base
+        if edge == "divisor" and binned and 0.0 < volume < math.inf:
+            # log10(volume * delta_omega) just past the end of the float range it
+            # can reach: below the smallest subnormal, or above the largest float
+            product = draw(st.floats(-0.8, 0.8)) + (-324.5 if volume < 1e-3 else 309.0)
+            delta = 10.0 ** min(product - math.log10(volume), 308.0)
+            omega_max = delta * bins
+        over = ((edge == "count" and count > cap) or (edge == "bins" and binned and bins > MAX_BINS)
+                or (sampled and samples > cli.MAX_SAMPLES))
+    key = {"film": "--length", "rod": "--lengths", "box": "--lengths", "sphere": "--diameter"}
+    argv = [command, "--geometry", geometry, key[geometry], ",".join(map(repr, lengths)),
+            "--temperature", repr(draw(st.one_of(st.sampled_from(EXTREME_RATES),
+                                                 log_floats(5e-324, 1.7e308)))),
+            "--omega-max", repr(omega_max)]
+    if bc is not None:
+        argv += ["--bc", bc]
+    if command == "spectrum":
+        compare = ["", "planck", "weyl", "planck,weyl"] if binned else ["", "planck"]
+        argv += ["--omega-min", repr(omega_max * draw(st.sampled_from([0.0, 0.0, 0.5]))),
+                 "--samples", str(samples), "--delta-omega", repr(delta),
+                 "--compare", draw(st.sampled_from(compare)),
+                 "--format", draw(st.sampled_from(["csv", "json"]))]
+    return argv, over
+
+
+@given(request=cli_requests())
+@settings(max_examples=500, deadline=5000)
+def test_exit_codes_of_random_requests(request):
+    # every request ends in a documented exit code with no warning; a refusal
+    # prints one error line and nothing else, and a request past a cap is
+    # refused before its arrays exist
+    argv, over_cap = request
+    out, err = io.StringIO(), io.StringIO()
+    tracemalloc.start()
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = cli.main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caught == [], [str(w.message) for w in caught]
+    assert code in (0, 2, 3, 4)
+    if code:
+        assert out.getvalue() == "" and err.getvalue().startswith("error: ")
+        assert err.getvalue().count("\n") == 1, err.getvalue()
+    else:
+        assert all(line.startswith(("warning: singular sample skipped", "modes: "))
+                   for line in err.getvalue().splitlines()), err.getvalue()
+        assert not over_cap
+    assert peak < 100 * 2**20

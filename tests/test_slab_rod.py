@@ -915,6 +915,15 @@ def test_rod_density_where_k_squared_overflows_refused_past_the_float_range():
         rod_density(1e163, 1e300, HUGE_K_ROD, BoundaryCondition.PERIODIC)
 
 
+def test_rod_density_where_k_squared_overflows_refused_at_a_positive_mean_energy():
+    # every term 1/sqrt(inf - s) would be 0, where the density is ~3.7e130
+    assert 0.0 < mean_oscillator_energy(1e163, 1.09e149) < 1e-170
+    with pytest.raises(ValueError, match="density exceeds the float range"):
+        rod_density(1e163, 1.09e149, HUGE_K_ROD, BoundaryCondition.PERIODIC)
+    # no Dirichlet mode lies below omega/c (the first is at ~3e160 m^-1): an exact 0.0
+    assert rod_density(1e163, 1.09e149, HUGE_K_ROD, BoundaryCondition.DIRICHLET) == 0.0
+
+
 def test_rod_window_where_k_squared_overflows_refused():
     # the window's upper threshold squared leaves the float range
     with pytest.raises(ValueError, match="window exceeds the float range"):

@@ -11,7 +11,6 @@ to accumulation roundoff.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -19,7 +18,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import CUT_MARGIN, BoundaryCondition, axis_wavenumbers, disc_sums, quantization
+from .geometry import (CUT_MARGIN, BoundaryCondition, _kept_table, axis_wavenumbers, disc_sums,
+                       quantization)
 from .modes import ModeList
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
@@ -268,12 +268,10 @@ def _norm_bound(omega_max, unit):
     return int(m)
 
 
-@functools.lru_cache(maxsize=1)
 def _cube_counts(bc, m_max):
     """r3[m] of a cube's labels for m <= m_max, read-only, in the smallest
     unsigned dtype that holds them (uint16 for the 1 cm cubes, at most uint32
-    below MAX_CUBE_NORMS). They do not depend on the side. The last counts
-    stay in this one slot."""
+    below MAX_CUBE_NORMS). They do not depend on the side."""
     _, offset, _ = quantization(bc)
     scale = 2 if offset else 1
     _, n = axis_wavenumbers(1.0, bc, math.isqrt(m_max) + 1)  # the labels only
@@ -294,9 +292,9 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     but stays cheap for desk-scale cavities as large as centimeters. More
     than MAX_CUBE_NORMS integer norms, or more than MAX_BINS bins, raise
     ResourceLimitError before the norm arrays exist. The counts of the last
-    (bc, norm bound) are kept, so a call on the same cube at another T or
-    bin width skips the convolution and only bins them. A density beyond
-    the float range raises ValueError.
+    (bc, norm bound) are kept (geometry._kept_table): a call at another T or
+    bin width only bins them, and one at a new key drops them before building.
+    A density beyond the float range raises ValueError.
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
@@ -307,7 +305,7 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)
-    r3 = _cube_counts(bc, m_max)
+    r3 = _kept_table("cube", (bc, m_max), m_max, lambda m: _cube_counts(bc, m))
     # binned a block of norms at a time, in norm order; the loop runs at least
     # once, so T is checked even when no norm lies below the cutoff
     energy_sums = np.zeros(layout[0])

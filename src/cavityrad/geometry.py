@@ -117,6 +117,29 @@ def disc_sums(axes, cap, weights=None):
     return s if weights is None else (s, w)
 
 
+_kept = {}  # kind -> (key, bound, table): the one table of each kind kept between calls
+
+
+def _kept_table(kind, key, bound, build):
+    """build(bound), or the table of this kind kept between calls.
+
+    A table kept for key up to bound b serves every later bound <= b. A miss
+    on the kept key builds at max(bound, 2b), or at bound if that raises
+    ResourceLimitError; a miss on another key builds at bound. The kind's
+    old table is dropped before any build."""
+    old_key, b = _kept.get(kind, (None, None))[:2]
+    if old_key == key and b >= bound:
+        return _kept[kind][2]
+    cap = max(bound, 2 * b) if old_key == key else bound
+    _kept.pop(kind, None)  # release the old table before building the next
+    try:
+        table = build(cap)
+    except ResourceLimitError:  # refused before any array exists
+        cap, table = bound, build(bound)
+    _kept[kind] = (key, cap, table)
+    return table
+
+
 def _require_positive(geom, *names):
     # stores each length as a float, so numpy scalars cannot leak float32 math
     message = "%s must be a positive finite length" % ", ".join(names)

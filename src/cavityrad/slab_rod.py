@@ -22,7 +22,7 @@ import numpy as np
 from .constants import C_LIGHT
 from .errors import ResourceLimitError, ThresholdSingularityError
 from .geometry import (CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
-                       disc_sums, label_count, lattice_axes, quantization)
+                       _kept_table, disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
 
@@ -41,13 +41,10 @@ THRESHOLD_GUARD = 1e-9
 #: cap on the entries of one transverse k^2 table; more raises
 #: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
 #: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
-#: rod_density and the CLI grid keep the last geometry's table between calls;
-#: a growing call may build up to 4x the entries it needs. A rod_density call
-#: whose mode sum _rod_sum keeps reads no table at all.
+#: rod_density and the CLI grid keep the last geometry's table between calls, as
+#: geometry._kept_table's "rod" table: a growing call may build up to 4x the
+#: entries it needs. A rod_density call whose _rod_sum hits reads no table.
 MAX_ROD_TABLE = 5 * 10**7
-
-#: the kept table (L1, L2, bc, k_cap, sorted k^2) of _rod_sums, or None
-_kept = None
 
 #: rod_density's mode sums kept by _rod_sum; past it the least recently used goes
 MAX_ROD_SUMS = 1024
@@ -100,25 +97,6 @@ def _transverse_k2(geom, bc, k_cap):
     return s
 
 
-def _kept_k2(geom, bc, k_cap):
-    """_transverse_k2 through the kept table, grown on a miss.
-
-    Any table at a cap >= k_cap holds the same sorted prefix below k_cap. A miss
-    builds at max(k_cap, 2 x the kept cap) on the kept geometry, else at k_cap."""
-    global _kept
-    kept, key = _kept, (geom.L1, geom.L2, bc)
-    if kept is not None and kept[:3] == key and kept[3] >= k_cap:
-        return kept[4]
-    cap = max(k_cap, 2.0 * kept[3]) if kept is not None and kept[:3] == key else k_cap
-    _kept = kept = None  # release the old table before building the next
-    try:
-        s = _transverse_k2(geom, bc, cap)
-    except ResourceLimitError:  # refused before any array exists
-        cap, s = k_cap, _transverse_k2(geom, bc, k_cap)
-    _kept = key + (cap, s)
-    return s
-
-
 def rod_transverse_modes(omega, geom: RodGeometry, bc: BoundaryCondition):
     """Admitted transverse wavevector pairs with k1^2 + k2^2 < (omega/c)^2.
 
@@ -143,7 +121,7 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
     non-singular sums, so a call at the same (geom, bc, omega, threshold_guard)
     and another T reads no table and recomputes only the thermal factor,
     with the same temperature check and overflow refusal. A miss reads the
-    last geometry's transverse table, which is kept too (see MAX_ROD_TABLE).
+    rod table geometry._kept_table keeps for the last geometry (MAX_ROD_TABLE).
 
     Parameters
     ----------
@@ -201,7 +179,8 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     """
     k = omega / C_LIGHT
     k_cap = max(k.tolist()) * (1.0 + 4.0 * max(threshold_guard, 1e-9))
-    s = _kept_k2(geom, bc, k_cap)
+    s = _kept_table("rod", (geom.L1, geom.L2, bc), k_cap,
+                    functools.partial(_transverse_k2, geom, bc))
     with np.errstate(over="ignore"):  # an overflowed square is inf: it admits every finite entry
         k2 = k * k
         i0 = s.searchsorted((k * (1.0 - threshold_guard)) ** 2)

@@ -1,15 +1,27 @@
 """Every test starts and ends with nothing kept between library calls."""
 
+import importlib
+import pkgutil
+
 import pytest
 
 
-def forget_kept_state():
-    """Drop the kept rod table, the rod-sum memo and the cube-count slot."""
-    from cavityrad import binned, slab_rod
+def lru_caches():
+    """Every functools.lru_cache found in the cavityrad modules."""
+    import cavityrad
 
-    slab_rod._kept = None
-    slab_rod._rod_sum.cache_clear()
-    binned._cube_counts.cache_clear()
+    return [obj for info in pkgutil.iter_modules(cavityrad.__path__) if info.name != "__main__"
+            for obj in vars(importlib.import_module("cavityrad." + info.name)).values()
+            if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear")]
+
+
+def forget_kept_state():
+    """Drop every table geometry._kept_table keeps and clear every lru_cache."""
+    from cavityrad import geometry
+
+    geometry._kept.clear()
+    for cache in lru_caches():
+        cache.cache_clear()
 
 
 @pytest.fixture(autouse=True)

@@ -5,6 +5,7 @@ mpmath oracle and the table shapes of the former level-by-level solver."""
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -130,6 +131,23 @@ def test_jl_at_tiny_x_against_mpmath(l):
     assert np.all(np.abs(got - ref)[~normal] <= 1e-323)
     for i in range(3):  # scalar calls; 1/x overflows at 5e-324
         assert spherical_jl(l, float(TINY_X[i])) == got[i]
+
+
+# j_1's small-x series, were it evaluated at every point, overflows from
+# ~1e100, and its closed form's x^2 from ~1.3e154; neither may warn
+HUGE_X = [1e100, 1e150, 1.3e154, 1e160, 1e300, 1.7e308, 1.7976931348623157e308]
+
+
+def test_j1_at_huge_x_emits_no_warning():
+    mpmath = pytest.importorskip("mpmath")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = spherical_jl(1, np.array(HUGE_X))
+        scalar = [spherical_jl(1, x) for x in HUGE_X]
+    assert got.tolist() == scalar
+    with mpmath.workdps(30):
+        ref = [float(mpmath.sin(x) / x**2 - mpmath.cos(x) / x) for x in map(mpmath.mpf, HUGE_X)]
+    assert np.allclose(got, ref, rtol=1e-15, atol=0.0)
 
 
 def test_jl_series_and_recurrence_points_in_one_call():
@@ -271,6 +289,28 @@ def test_zero_tables_over_cap_refused_before_allocation():
         tracemalloc.stop()
     assert peak < 10**6
     assert spherical_bessel_zeros(0, 1e6).size == 318309  # max_order 0: level 0 alone counts
+
+
+def test_zero_tables_past_the_sweep_cap_refused_before_allocation():
+    import tracemalloc
+
+    from cavityrad.bessel import MAX_SWEEP_STEPS
+
+    # x_max = 8,000 (a 1 mm sphere to 4.8e15 rad/s) passes the zero cap, but
+    # its table would take ~160 s and ~0.9 GB; the sweep cap is near 3,040
+    tracemalloc.start()
+    try:
+        for x_max in (3050.0, 8000.0, 28000.0):
+            with pytest.raises(ResourceLimitError, match="recurrence steps per sweep") as err:
+                build_bessel_zero_table(x_max)
+            # the sum of l over the candidates, ~x_max^3/(9 pi)
+            assert MAX_SWEEP_STEPS < err.value.required < 1.05 * x_max**3 / (9.0 * math.pi)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6  # arrays of 28,001 levels; 1e8 zeros would take GBs
+    # a few levels far past x_max = 3,050 sweep few steps, and are solved
+    assert spherical_bessel_zeros(3, 3050.0).size == 969  # (n + 3/2) pi <= 3,050
 
 
 def test_jl_recurrence_over_cap_refused_at_once():

@@ -373,7 +373,7 @@ def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 def test_cube_counts_are_kept_for_another_temperature(bc, monkeypatch):
-    from cavityrad import binned
+    from cavityrad import binned, geometry
 
     side, dw, omega_max, temps = 1e-3, 1e12, 5e14, (300.0, 1000.0)
     exact = binned._exact_counts_by_convolution
@@ -385,11 +385,11 @@ def test_cube_counts_are_kept_for_another_temperature(bc, monkeypatch):
     cube_binned_density(2.0 * side, bc, 300.0, dw, 0.5 * omega_max)  # the same norm bound
     assert len(seen) == 1  # the counts do not depend on the side
     for T, u in zip(temps, kept):
-        binned._cube_counts.cache_clear()
+        geometry._kept.clear()
         assert u.tobytes() == cube_binned_density(side, bc, T, dw, omega_max).u.tobytes()
     m_max, r3 = seen[-1]
-    counts = binned._cube_counts(bc, m_max)
-    assert len(seen) == 3  # a hit on the slot the last call filled
+    key, bound, counts = geometry._kept["cube"]  # the table the last call filled
+    assert key == (bc, m_max) and bound == m_max and len(seen) == 3
     assert not counts.flags.writeable and np.array_equal(counts, r3)
     assert counts.dtype.kind == "u" and counts.dtype == np.min_scalar_type(r3.max())
     assert r3.max() > np.iinfo(np.uint8).max  # so the dtype is not trivially uint8
@@ -398,7 +398,7 @@ def test_cube_counts_are_kept_for_another_temperature(bc, monkeypatch):
 def test_narrow_cube_counts_bin_like_int64_counts(monkeypatch):
     # the 1 cm periodic cube's counts reach 42,336, kept as uint16, where
     # 2 x count would wrap past 65,535 if it were doubled in uint16
-    from cavityrad import binned
+    from cavityrad import binned, geometry
 
     args = (1e-2, BoundaryCondition.PERIODIC, 300.0, 1e12, 3.1e14)
     exact = binned._exact_counts_by_convolution
@@ -410,7 +410,32 @@ def test_narrow_cube_counts_bin_like_int64_counts(monkeypatch):
     assert binned._cube_counts(args[1], r3.size - 1).dtype == np.uint16
     assert r3.max() > np.iinfo(np.uint16).max // 2
     monkeypatch.setattr(binned, "_cube_counts", lambda bc, m_max: r3)
+    geometry._kept.clear()  # so the next call builds through the patched _cube_counts
     assert u.tobytes() == cube_binned_density(*args).u.tobytes()
+
+
+def test_cube_build_at_a_new_key_holds_no_old_counts():
+    # a cube at a new (bc, norm bound) drops the kept counts before it builds
+    # its own, so its peak is the one it has with nothing kept
+    import tracemalloc
+
+    from conftest import forget_kept_state
+
+    def peak_of_second(first):
+        forget_kept_state()
+        tracemalloc.start()
+        try:
+            if first:
+                cube_binned_density(1e-2, BoundaryCondition.PERIODIC, 300.0, 1e12, 3.1e14)
+            tracemalloc.reset_peak()
+            cube_binned_density(1e-2, BoundaryCondition.DIRICHLET, 300.0, 1e12, 1.55e14)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    alone = peak_of_second(False)
+    assert alone > 2 * 10**7
+    assert peak_of_second(True) <= alone + 0.5 * 2**20
 
 
 def test_cube_bin_cap_checked_before_counts(monkeypatch):

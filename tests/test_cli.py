@@ -30,6 +30,7 @@ from cavityrad import (
     rod_density,
     rod_threshold_frequencies,
 )
+from cavityrad.bessel import MAX_SWEEP_STEPS
 from cavityrad.binned import MAX_BINS, MAX_CUBE_NORMS
 from cavityrad.modes import DEFAULT_LATTICE_CAP
 from cavityrad.slab_rod import MAX_ROD_TABLE
@@ -444,6 +445,22 @@ def test_unbounded_modes_exit_3(flags):
     assert r.stdout == ""
 
 
+def test_sphere_past_the_sweep_cap_exits_3_at_once(capsys):
+    # x_max ~ 8,000 passes the zero-count estimate, but its zero table would
+    # take ~160 s and ~0.9 GB; the sweep cap refuses it before it is built
+    import time
+
+    start = time.perf_counter()
+    code = cli.main(["spectrum", "--geometry", "sphere", "--diameter", "1e-3",
+                     "--omega-max", "4.8e15", "--temperature", "300"])
+    elapsed = time.perf_counter() - start
+    out, err = capsys.readouterr()
+    assert code == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "recurrence steps per sweep, exceeding the cap of 1000000000" in err
+    assert elapsed < 1.0
+
+
 def test_runtime_imports_no_scipy(tmp_path):
     script = (
         "import sys, io, contextlib\n"
@@ -753,6 +770,10 @@ def cli_requests(draw):
         cap = {"film": 2.0**63, "rod": MAX_ROD_TABLE, "sphere": DEFAULT_LATTICE_CAP}.get(
             geometry, MAX_CUBE_NORMS if cube_norms else DEFAULT_LATTICE_CAP)
         count = draw(counts(cap) if edge == "count" else st.floats(1e-3, 1e4))
+        sweep = geometry == "sphere" and edge == "count" and draw(st.booleans())
+        if sweep:  # ~x^3/(9 pi) recurrence steps per sweep, 1x to 4x the sweep cap
+            x = (9.0 * math.pi * MAX_SWEEP_STEPS * draw(st.floats(1.001, 4.0))) ** (1.0 / 3.0)
+            count = x * x / 8.0 + x
         bins = draw(counts(MAX_BINS) if edge == "bins" else st.floats(0.5, 1e3))
         if edge == "samples":
             samples = draw(st.integers(cli.MAX_SAMPLES + 1, 4 * cli.MAX_SAMPLES)
@@ -766,7 +787,7 @@ def cli_requests(draw):
             product = draw(st.floats(-0.8, 0.8)) + (-324.5 if volume < 1e-3 else 309.0)
             delta = 10.0 ** min(product - math.log10(volume), 308.0)
             omega_max = delta * bins
-        over = ((edge == "count" and count > cap) or (edge == "bins" and binned and bins > MAX_BINS)
+        over = ((edge == "count" and (count > cap or sweep)) or (edge == "bins" and binned and bins > MAX_BINS)
                 or (sampled and samples > cli.MAX_SAMPLES))
     key = {"film": "--length", "rod": "--lengths", "box": "--lengths", "sphere": "--diameter"}
     argv = [command, "--geometry", geometry, key[geometry], ",".join(map(repr, lengths)),

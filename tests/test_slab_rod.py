@@ -267,16 +267,25 @@ def own_cap(omega, guard=1e-9):
     return omega / C_LIGHT * (1.0 + 4.0 * max(guard, 1e-9))
 
 
+def kept_rod():
+    """The kept rod table as (key, cap, sorted k^2), or None."""
+    from cavityrad import geometry
+
+    return geometry._kept.get("rod")
+
+
 def own_table_rod_density(omega, T, rod, bc):
     """rod_density through a table of the call's own cap, as with nothing kept;
     the kept table is put back afterwards."""
-    from cavityrad import slab_rod
+    from cavityrad import geometry
 
-    kept, slab_rod._kept = slab_rod._kept, None
+    kept = geometry._kept.pop("rod", None)
     try:
         return rod_density(omega, T, rod, bc)
     finally:
-        slab_rod._kept = kept
+        geometry._kept.pop("rod", None)
+        if kept is not None:
+            geometry._kept["rod"] = kept
 
 
 def test_kept_table_gives_every_value_of_a_table_per_call():
@@ -296,9 +305,9 @@ def test_kept_table_gives_every_value_of_a_table_per_call():
                 for bc in BCS:
                     for w in omegas[start:start + 7]:
                         slab_rod._rod_sum.cache_clear()  # a hit would not read the kept table
-                        kept = slab_rod._kept
-                        hits += (kept is not None and kept[:3] == (rod.L1, rod.L2, bc)
-                                 and kept[3] >= own_cap(w))
+                        kept = kept_rod()
+                        hits += (kept is not None and kept[0] == (rod.L1, rod.L2, bc)
+                                 and kept[1] >= own_cap(w))
                         expected = per_sample_rod_density(w, 300.0, rod, bc)
                         if expected is None:
                             refused += 1
@@ -321,8 +330,9 @@ def test_rod_sum_memo_hit_equals_a_cleared_call(lengths, bc, monkeypatch):
     rod = RodGeometry(*lengths)
     omegas = np.linspace(1e13, 3e14, 12).tolist()
     tables = []
-    kept_k2 = slab_rod._kept_k2
-    monkeypatch.setattr(slab_rod, "_kept_k2", lambda *args: tables.append(args) or kept_k2(*args))
+    kept_table = slab_rod._kept_table
+    monkeypatch.setattr(slab_rod, "_kept_table",
+                        lambda *args: tables.append(args) or kept_table(*args))
     for T in (300.0, 1000.0):
         for w in omegas:
             rod_density(w, 500.0, rod, bc)
@@ -452,7 +462,7 @@ def test_doubled_cap_over_the_limit_builds_at_the_own_cap(monkeypatch):
     monkeypatch.setattr(slab_rod, "MAX_ROD_TABLE", limit)
     value = rod_density(1.2 * omega, 300.0, rod, bc)
     assert value == per_sample_rod_density(1.2 * omega, 300.0, rod, bc)
-    assert slab_rod._kept[3] == own_cap(1.2 * omega)
+    assert kept_rod()[1] == own_cap(1.2 * omega)
 
 
 def test_own_cap_over_the_limit_refuses_with_its_own_count(monkeypatch):
@@ -467,7 +477,7 @@ def test_own_cap_over_the_limit_refuses_with_its_own_count(monkeypatch):
         rod_density(1.5 * omega, 300.0, rod, bc)
     assert err.value.required == own.value.required
     assert err.value.required == required_entries(rod, bc, own_cap(1.5 * omega))
-    assert slab_rod._kept is None
+    assert kept_rod() is None
 
 
 def test_singular_sample_after_a_growth_names_its_own_mode(monkeypatch):
@@ -482,7 +492,7 @@ def test_singular_sample_after_a_growth_names_its_own_mode(monkeypatch):
     rod_density(0.5003 * omega, 300.0, rod, bc)
     with pytest.raises(ThresholdSingularityError) as err:
         rod_density(omega, 300.0, rod, bc)
-    assert slab_rod._kept[3] > own_cap(omega)  # grown past the call's own cap
+    assert kept_rod()[1] > own_cap(omega)  # grown past the call's own cap
     with pytest.raises(ThresholdSingularityError) as own:
         own_table_rod_density(omega, 300.0, rod, bc)
     assert err.value.mode == own.value.mode
@@ -686,7 +696,6 @@ def held_bytes(*steps):
 
 
 def test_rod_density_keeps_one_table_of_the_last_geometry():
-    from cavityrad import slab_rod
     from cavityrad.slab_rod import _transverse_k2
 
     rod, bc = RodGeometry(1e-3, 1e-3), BoundaryCondition.PERIODIC
@@ -701,14 +710,14 @@ def test_rod_density_keeps_one_table_of_the_last_geometry():
                 rod_density(w, 300.0, rod, bc)
             except ThresholdSingularityError:
                 pass
-        assert slab_rod._kept[:3] == (rod.L1, rod.L2, bc)
-        assert last_cap <= slab_rod._kept[3] <= 2.0 * last_cap
+        assert kept_rod()[0] == (rod.L1, rod.L2, bc)
+        assert last_cap <= kept_rod()[1] <= 2.0 * last_cap
 
     other = RodGeometry(1e-5, 1e-5)
     held, released = held_bytes(sweep, lambda: rod_density(1e15, 300.0, other, bc))
     assert own <= held <= bound + 10**4
     # a call on another geometry releases it
-    assert slab_rod._kept[:3] == (other.L1, other.L2, bc)
+    assert kept_rod()[0] == (other.L1, other.L2, bc)
     assert released < 10**6
 
 
@@ -725,8 +734,8 @@ def test_cli_grid_shares_the_kept_table(monkeypatch):
     from cavityrad import slab_rod
 
     cli_rod_grid("1e-3,1e-3")
-    assert slab_rod._kept[:3] == (1e-3, 1e-3, BoundaryCondition.PERIODIC)
-    table = weakref.ref(slab_rod._kept[4])
+    assert kept_rod()[0] == (1e-3, 1e-3, BoundaryCondition.PERIODIC)
+    table = weakref.ref(kept_rod()[2])
     omega = 7.3e14  # below the grid's 1e15 rad/s and off every threshold
     expected = per_sample_rod_density(omega, 300.0, RodGeometry(1e-3, 1e-3),
                                       BoundaryCondition.PERIODIC)
@@ -739,7 +748,7 @@ def test_cli_grid_shares_the_kept_table(monkeypatch):
     assert built == []
     # a grid on another geometry frees the old table
     cli_rod_grid("1e-5,1e-5")
-    assert slab_rod._kept[:3] == (1e-5, 1e-5, BoundaryCondition.PERIODIC)
+    assert kept_rod()[0] == (1e-5, 1e-5, BoundaryCondition.PERIODIC)
     assert table() is None
 
 
@@ -756,11 +765,11 @@ UNKEPT_ROD_TABLES = {
 
 @pytest.mark.parametrize("name", sorted(UNKEPT_ROD_TABLES))
 def test_other_rod_paths_keep_no_table(name):
-    from cavityrad import slab_rod
+    from cavityrad import geometry
 
     [held] = held_bytes(UNKEPT_ROD_TABLES[name])
     assert held < 10**6
-    assert slab_rod._kept is None
+    assert geometry._kept == {}
 
 
 @pytest.mark.parametrize("lengths", [(1e-5, 1e-5), (2e-5, 1.5e-5)])
@@ -873,20 +882,18 @@ def test_singular_samples_name_the_first_mode_at_their_k_perp(lengths, bc):
 
 
 def test_forgetting_kept_state_empties_every_lru_cache():
-    import importlib
-    import pkgutil
-
     import cavityrad
-    from conftest import forget_kept_state
+    from cavityrad import geometry, slab_rod
+    from conftest import forget_kept_state, lru_caches
 
     rod_density(3e14, 300.0, RodGeometry(1e-5, 1e-5), BoundaryCondition.PERIODIC)
     cavityrad.cube_binned_density(1e-4, BoundaryCondition.PERIODIC, 300.0, 1e13, 1e15)
-    caches = [obj for info in pkgutil.iter_modules(cavityrad.__path__) if info.name != "__main__"
-              for obj in vars(importlib.import_module("cavityrad." + info.name)).values()
-              if hasattr(obj, "cache_info") and hasattr(obj, "cache_clear")]
-    assert sum(cache.cache_info().currsize > 0 for cache in caches) >= 2
+    caches = lru_caches()
+    assert [cache for cache in caches if cache.cache_info().currsize > 0] == [slab_rod._rod_sum]
+    assert sorted(geometry._kept) == ["cube", "rod"]
     forget_kept_state()
     assert [cache for cache in caches if cache.cache_info().currsize > 0] == []
+    assert geometry._kept == {}
 
 
 def test_rod_of_an_area_below_the_float_range_refused():

@@ -19,15 +19,12 @@ def format_value(x):
 
 
 def spectrum_csv_lines(header, columns):
-    """CSV lines for parallel columns; columns may contain None entries."""
-    n = len(columns[0])
-    for col in columns:
-        if len(col) != n:
-            raise ValueError("columns must have equal length")
-    lines = [",".join(header)]
-    for i in range(n):
-        lines.append(",".join(format_value(col[i]) for col in columns))
-    return lines
+    """CSV lines for parallel columns, one header name each; columns may
+    contain None entries."""
+    if len(header) != len(columns) or any(len(col) != len(columns[0]) for col in columns):
+        raise ValueError("header and columns must have equal length")
+    fields = [list(map(format_value, col)) for col in columns]
+    return [",".join(header), *map(",".join, zip(*fields))]
 
 
 def modes_csv_lines(modes):

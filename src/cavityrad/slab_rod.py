@@ -49,6 +49,9 @@ MAX_ROD_TABLE = 5 * 10**7
 #: rod_density's mode sums kept by _rod_sum; past it the least recently used goes
 MAX_ROD_SUMS = 1024
 
+#: terms of one block of _rod_sums, 2 MiB of float64; a longer row is one block
+_BLOCK_TERMS = 2**18
+
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
     """Number of longitudinal wavenumbers admitted below omega/c.
@@ -169,7 +172,7 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     """Mode sums sum 1/sqrt(omega^2/c^2 - k_perp^2) at a 1-D array of omegas.
 
     All samples share one sorted transverse table, the kept table covering
-    the largest omega. Returns the sums, a list of floats, and a dict from
+    the largest omega. Returns the sums, a float array, and a dict from
     the index of each sample inside a guard window to its
     ThresholdSingularityError; those samples sum to 0.0. Each sum is the one
     a table sized to its own omega gives, bit for bit: the entries below
@@ -192,16 +195,26 @@ def _rod_sums(omega, geom, bc, threshold_guard):
         singular[i] = ThresholdSingularityError(
             float(omega[i]), *_mode_indices(geom, bc, k_perp, k_cap), k_perp)
         n[i] = 0
-    # ascending s = ascending term magnitude keeps each sum well conditioned;
-    # each sample's terms live in one buffer, so the sum adds no peak memory
-    totals = []
-    for kk, m in zip(k2.tolist(), n.tolist()):
-        if kk == math.inf:
-            totals.append(math.inf if m else 0.0)
-            continue
-        t = np.subtract(kk, s[:m])
+    totals = np.where(n > 0, math.inf, 0.0)  # kept where (omega/c)^2 overflows
+    rows = np.flatnonzero(k2 < math.inf)
+    rows = rows[n[rows].argsort()]
+    ms, kk, sums = n[rows].tolist(), k2[rows, None], np.zeros(rows.size)
+    buf = np.empty(min(len(ms) * ms[-1], max(_BLOCK_TERMS, ms[-1])) if ms else 0)
+    # the samples admitting m modes form (rows, m) blocks in one buffer reused
+    # across blocks, of at most _BLOCK_TERMS terms (2 MiB) or one row, so the
+    # sums add at most that to the table; ascending s = ascending term magnitude
+    # keeps each sum well conditioned, and a C-contiguous row sums in the
+    # pairwise order of the 1-D np.sum of that row: every total is bit-identical
+    j = bisect.bisect_right(ms, 0)
+    while j < len(ms):
+        m = ms[j]
+        end = min(bisect.bisect_right(ms, m, lo=j), j + max(1, _BLOCK_TERMS // m))
+        t = buf[:(end - j) * m].reshape(end - j, m)
+        np.subtract(kk[j:end], s[:m], out=t)
         np.sqrt(t, out=t)
-        totals.append(float(np.sum(np.divide(1.0, t, out=t))))
+        np.add.reduce(np.divide(1.0, t, out=t), axis=1, out=sums[j:end])
+        j = end
+    totals[rows] = sums
     return totals, singular
 
 

@@ -325,6 +325,20 @@ def test_modes_empty_header_only():
     assert r.stdout == "omega_rad_s,multiplicity\n"
 
 
+def test_spectrum_csv_lines_built_by_column():
+    from cavityrad.io import spectrum_csv_lines
+
+    cols = [[1.0, 2.5, np.float64(0.1)], [None, 1e-300, math.inf], np.array([3.0, -0.0, 7.0])]
+    assert spectrum_csv_lines(["a", "b", "c"], cols) == [
+        "a,b,c", "1.0,,3.0", "2.5,1e-300,-0.0", "0.1,inf,7.0"]
+    assert spectrum_csv_lines(["a", "b"], [[], []]) == ["a,b"]  # zero rows: the header only
+    with pytest.raises(ValueError, match="equal length"):  # ragged columns
+        spectrum_csv_lines(["a", "b"], [[1.0, 2.0], [1.0]])
+    for header in (["a"], ["a", "b", "c"]):  # one name per column, no fewer or more
+        with pytest.raises(ValueError, match="equal length"):
+            spectrum_csv_lines(header, [[1.0], [2.0]])
+
+
 def test_singular_rod_sample_emits_empty_field_and_warns():
     th = rod_threshold_frequencies(RodGeometry(1e-5, 1e-5),
                                    BoundaryCondition.PERIODIC, 1e15)

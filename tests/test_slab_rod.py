@@ -204,9 +204,9 @@ def test_rod_threshold_guard_raises_and_names_mode():
                        BoundaryCondition.PERIODIC) > 0.0
 
 
-def per_sample_rod_density(omega, T, rod, bc, guard=1e-9):
-    """Reference: the rod density with a transverse table sized to this omega
-    alone, in Python floats; None inside a guard window."""
+def per_sample_rod_sum(omega, rod, bc, guard=1e-9):
+    """Reference: the mode sum with a transverse table sized to this omega
+    alone, one 1-D np.sum; None inside a guard window."""
     from cavityrad.slab_rod import _transverse_k2
 
     k = omega / C_LIGHT
@@ -215,11 +215,18 @@ def per_sample_rod_density(omega, T, rod, bc, guard=1e-9):
     if i1 > i0:
         return None
     n = np.searchsorted(s, k * k)
-    if n == 0:
-        return 0.0
+    return float(np.sum(1.0 / np.sqrt(k * k - s[:n]))) if n else 0.0
+
+
+def per_sample_rod_density(omega, T, rod, bc, guard=1e-9):
+    """Reference: the rod density of per_sample_rod_sum, in Python floats;
+    None inside a guard window."""
+    total = per_sample_rod_sum(omega, rod, bc, guard)
+    if not total:
+        return total
     pref = 2.0 * omega * mean_oscillator_energy(omega, T) / (
         math.pi * C_LIGHT**2 * rod.L1 * rod.L2)
-    return pref * float(np.sum(1.0 / np.sqrt(k * k - s[:n])))
+    return pref * total
 
 
 def rod_curves():
@@ -260,6 +267,54 @@ def test_rod_grid_equals_per_sample_evaluation():
             assert i not in singular and values[i] == expected, (name, i)
             assert rod_density(w, T, rod, bc) == expected, (name, i)
     assert refused >= 5
+
+
+def test_rod_grid_blocks_equal_per_sample_sums():
+    # one admitted count shared by more samples than a block holds, so its
+    # block is chunked; unsorted and repeated omegas, omega = 0, a singular
+    # sample among regular ones and omegas whose (omega/c)^2 overflows
+    import tracemalloc
+    import warnings
+
+    from cavityrad.slab_rod import _BLOCK_TERMS, THRESHOLD_GUARD, _rod_sums
+
+    rod, bc = HUGE_K_ROD, BoundaryCondition.PERIODIC
+    step = 2.0 * math.pi * C_LIGHT / rod.L2  # the thresholds are n*step: k1 = 0 only
+    wide = np.linspace(500.0 * step, 501.0 * step, 402)[1:-1]  # 1,001 modes each
+    narrow = np.linspace(20.0 * step, 21.0 * step, 12)[1:-1]
+    th = float(rod_threshold_frequencies(rod, bc, 500.5 * step)[-1])  # n = 500
+    overflow = [5e162, 1e163]
+    grid = np.concatenate([wide, narrow, wide[:30], [0.0, th], overflow])
+    np.random.default_rng(22).shuffle(grid)
+    assert len(rod_transverse_modes(wide[0], rod, bc)) == 1001
+    assert 430 * 1001 > _BLOCK_TERMS  # the 430 wide samples exceed one block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        totals, singular = _rod_sums(grid, rod, bc, THRESHOLD_GUARD)  # builds the table
+        tracemalloc.start()
+        try:
+            again = _rod_sums(grid, rod, bc, THRESHOLD_GUARD)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert again[0].tolist() == totals.tolist() and again[1].keys() == singular.keys()
+    # one block of _BLOCK_TERMS floats, numpy's two iterator buffers for the
+    # broadcast subtraction, and arrays of the grid's size; one unchunked
+    # block would take 3.4 MB
+    assert peak <= 8 * _BLOCK_TERMS + 16 * np.getbufsize() + 32 * totals.nbytes
+    for i, w in enumerate(grid.tolist()):
+        if w in overflow:
+            assert totals[i] == math.inf and i not in singular, w
+            continue
+        expected = per_sample_rod_sum(w, rod, bc)
+        if expected is None:
+            assert w == th and totals[i] == 0.0, w
+            with pytest.raises(ThresholdSingularityError) as err:
+                rod_density(w, 300.0, rod, bc)
+            assert singular[i].mode == err.value.mode in ((0, -500), (0, 500)), w
+            continue
+        assert i not in singular and totals[i] == expected, w
+    assert len(singular) == 1
 
 
 def own_cap(omega, guard=1e-9):

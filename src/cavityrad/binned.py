@@ -18,8 +18,8 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import (CUT_MARGIN, BoundaryCondition, _kept_table, axis_wavenumbers, disc_sums,
-                       quantization)
+from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, _kept_table, axis_wavenumbers,
+                       disc_sums, quantization)
 from .modes import ModeList
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
@@ -132,12 +132,6 @@ def _round_counts(raw):
     return counts
 
 
-#: label pairs summed per block in _pair_counts, and integer norms binned per
-#: block in cube_binned_density; each bounds its scratch memory
-PAIR_BLOCK = 1 << 16
-NORM_BLOCK = 1 << 16
-
-
 def _pair_counts(j, cap, shift):
     """Histogram of (a^2 + b^2) >> shift over label pairs with a^2 + b^2 <= cap.
 
@@ -149,7 +143,7 @@ def _pair_counts(j, cap, shift):
     folded = v.size < j.size
     # weighted counts sum in floats, exact for integers below 2^53
     counts = np.zeros((cap >> shift) + 1, dtype=float if folded else np.int64)
-    rows = max(1, PAIR_BLOCK // max(len(v), 1))
+    rows = max(1, BLOCK // max(len(v), 1))
     for lo in range(0, len(v), rows):
         if folded:
             s, ww = disc_sums([v[lo:lo + rows], v], cap, [w[lo:lo + rows], w])
@@ -309,8 +303,8 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     # binned a block of norms at a time, in norm order; the loop runs at least
     # once, so T is checked even when no norm lies below the cutoff
     energy_sums = np.zeros(layout[0])
-    for lo in range(1, max(m_max, 1) + 1, NORM_BLOCK):  # periodic zero mode excluded
-        block = r3[lo:lo + NORM_BLOCK]
+    for lo in range(1, max(m_max, 1) + 1, BLOCK):  # periodic zero mode excluded
+        block = r3[lo:lo + BLOCK]
         m = np.flatnonzero(block)
         om = unit * np.sqrt((m + lo).astype(float))
         keep = om <= omega_max

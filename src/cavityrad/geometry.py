@@ -117,6 +117,10 @@ def disc_sums(axes, cap, weights=None):
     return s if weights is None else (s, w)
 
 
+#: elements per block of the blocked kernels (rod mode sums, cube pair counts,
+#: cube norm binning, box-mode merge): 512 KiB of float64 bounds their scratch
+BLOCK = 1 << 16
+
 _kept = {}  # kind -> (key, bound, table): the one table of each kind kept between calls
 
 
@@ -135,6 +139,8 @@ def _kept_table(kind, key, bound, build):
     try:
         table = build(cap)
     except ResourceLimitError:  # refused before any array exists
+        if cap == bound:  # a refused bound is not built again
+            raise
         cap, table = bound, build(bound)
     _kept[kind] = (key, cap, table)
     return table

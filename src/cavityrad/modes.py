@@ -21,7 +21,7 @@ import numpy as np
 from .bessel import build_bessel_zero_table
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
-from .geometry import (CUT_MARGIN, BoundaryCondition, BoxGeometry, SphereGeometry,
+from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, BoxGeometry, SphereGeometry,
                        disc_sums, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
@@ -34,9 +34,6 @@ MERGE_RTOL = 1e-12
 
 #: default cap on the number of lattice points a single enumeration may scan
 DEFAULT_LATTICE_CAP = 10**8
-
-#: neighbour gaps compared per block when merging frequencies
-MERGE_BLOCK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -82,8 +79,8 @@ def _merge_weighted(omegas, weights=None):
         return om, np.zeros(0, dtype=np.int64)
     new_group = np.empty(om.size, dtype=bool)
     new_group[0] = True
-    for lo in range(0, om.size - 1, MERGE_BLOCK):  # blocks bound the gap arrays' memory
-        hi = min(lo + MERGE_BLOCK, om.size - 1)
+    for lo in range(0, om.size - 1, BLOCK):  # blocks bound the gap arrays' memory
+        hi = min(lo + BLOCK, om.size - 1)
         new_group[lo + 1:hi + 1] = np.diff(om[lo:hi + 1]) > MERGE_RTOL * om[lo:hi]
     starts = np.flatnonzero(new_group)
     counts = (np.diff(starts, append=om.size) if weights is None

@@ -21,7 +21,7 @@ import numpy as np
 
 from .constants import C_LIGHT
 from .errors import ResourceLimitError, ThresholdSingularityError
-from .geometry import (CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
+from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
                        _kept_table, disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
@@ -48,9 +48,6 @@ MAX_ROD_TABLE = 5 * 10**7
 
 #: rod_density's mode sums kept by _rod_sum; past it the least recently used goes
 MAX_ROD_SUMS = 1024
-
-#: terms of one block of _rod_sums, 2 MiB of float64; a longer row is one block
-_BLOCK_TERMS = 2**18
 
 
 def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
@@ -199,16 +196,16 @@ def _rod_sums(omega, geom, bc, threshold_guard):
     rows = np.flatnonzero(k2 < math.inf)
     rows = rows[n[rows].argsort()]
     ms, kk, sums = n[rows].tolist(), k2[rows, None], np.zeros(rows.size)
-    buf = np.empty(min(len(ms) * ms[-1], max(_BLOCK_TERMS, ms[-1])) if ms else 0)
+    buf = np.empty(min(len(ms) * ms[-1], max(BLOCK, ms[-1])) if ms else 0)
     # the samples admitting m modes form (rows, m) blocks in one buffer reused
-    # across blocks, of at most _BLOCK_TERMS terms (2 MiB) or one row, so the
+    # across blocks, of at most BLOCK terms (512 KiB) or one row, so the
     # sums add at most that to the table; ascending s = ascending term magnitude
     # keeps each sum well conditioned, and a C-contiguous row sums in the
     # pairwise order of the 1-D np.sum of that row: every total is bit-identical
     j = bisect.bisect_right(ms, 0)
     while j < len(ms):
         m = ms[j]
-        end = min(bisect.bisect_right(ms, m, lo=j), j + max(1, _BLOCK_TERMS // m))
+        end = min(bisect.bisect_right(ms, m, lo=j), j + max(1, BLOCK // m))
         t = buf[:(end - j) * m].reshape(end - j, m)
         np.subtract(kk[j:end], s[:m], out=t)
         np.sqrt(t, out=t)

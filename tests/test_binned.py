@@ -263,16 +263,52 @@ def test_pair_counts_fold_signs_and_repeated_labels():
             np.testing.assert_array_equal(counts, direct)
 
 
-@pytest.mark.parametrize("bc", list(BoundaryCondition))
-def test_cube_bins_do_not_depend_on_the_norm_block(bc, monkeypatch):
-    from cavityrad import binned
+def blocked_kernel_outputs(case):
+    """The arrays one blocked kernel gives: a cube spectrum (pair counts and
+    norm binning), box-mode merges (weighted under P and AP, plain under D,
+    and chains of near-equal values) or the figure-2 rod mode sums."""
+    from test_slab_rod import rod_curves
 
-    def spectrum(block):
-        monkeypatch.setattr(binned, "NORM_BLOCK", block)
-        return cube_binned_density(2e-4, bc, 300.0, 1e13, 1e15).u
+    from cavityrad import modes
+    from cavityrad.slab_rod import THRESHOLD_GUARD, _rod_sums
 
-    one_block = spectrum(10**9)
-    assert np.array_equal(spectrum(7), one_block)  # bit-identical, not just close
+    if case.startswith("cube-"):
+        return [cube_binned_density(2e-4, BoundaryCondition(case[5:]), 300.0, 1e13, 1e15).u]
+    if case == "box merge":
+        rng = np.random.default_rng(23)
+        chains = (rng.choice(np.linspace(1e13, 1e15, 300), 5000)
+                  * (1.0 + rng.choice([0.0, 4e-13, 2e-12], 5000)))
+        weights = rng.integers(1, 5, chains.size)
+        out = [*modes._merge_weighted(chains), *modes._merge_weighted(chains, weights)]
+        for bc in BoundaryCondition:
+            box = enumerate_box_modes(BoxGeometry(5e-5, 4e-5, 3e-5), bc, 1e15)
+            out += [box.omegas, box.multiplicities]
+        return out
+    out = []
+    for _, rod, bc, _, grid in rod_curves():
+        totals, singular = _rod_sums(grid, rod, bc, THRESHOLD_GUARD)
+        out += [totals, np.array(sorted(singular))]
+    return out
+
+
+@pytest.mark.parametrize("case", ["cube-periodic", "cube-antiperiodic", "cube-dirichlet",
+                                  "box merge", "rod sums"])
+def test_blocked_kernels_do_not_depend_on_the_block(case, monkeypatch):
+    # at a block of 7 the pair counts, norm bins and merge gaps are split into
+    # many blocks and most rod blocks are one row; every output stays bit for bit
+    from cavityrad import binned, geometry, modes, slab_rod
+
+    def outputs(block):
+        for module in (binned, modes, slab_rod):
+            monkeypatch.setattr(module, "BLOCK", block)
+        geometry._kept.clear()  # so the pair counts are rebuilt under this block
+        return blocked_kernel_outputs(case)
+
+    default = outputs(geometry.BLOCK)
+    small = outputs(7)
+    assert len(small) == len(default)
+    for got, want in zip(small, default):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition))

@@ -276,7 +276,8 @@ def test_rod_grid_blocks_equal_per_sample_sums():
     import tracemalloc
     import warnings
 
-    from cavityrad.slab_rod import _BLOCK_TERMS, THRESHOLD_GUARD, _rod_sums
+    from cavityrad.geometry import BLOCK
+    from cavityrad.slab_rod import THRESHOLD_GUARD, _rod_sums
 
     rod, bc = HUGE_K_ROD, BoundaryCondition.PERIODIC
     step = 2.0 * math.pi * C_LIGHT / rod.L2  # the thresholds are n*step: k1 = 0 only
@@ -287,7 +288,7 @@ def test_rod_grid_blocks_equal_per_sample_sums():
     grid = np.concatenate([wide, narrow, wide[:30], [0.0, th], overflow])
     np.random.default_rng(22).shuffle(grid)
     assert len(rod_transverse_modes(wide[0], rod, bc)) == 1001
-    assert 430 * 1001 > _BLOCK_TERMS  # the 430 wide samples exceed one block
+    assert 430 * 1001 > BLOCK  # the 430 wide samples exceed one block
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         totals, singular = _rod_sums(grid, rod, bc, THRESHOLD_GUARD)  # builds the table
@@ -298,10 +299,10 @@ def test_rod_grid_blocks_equal_per_sample_sums():
         finally:
             tracemalloc.stop()
     assert again[0].tolist() == totals.tolist() and again[1].keys() == singular.keys()
-    # one block of _BLOCK_TERMS floats, numpy's two iterator buffers for the
+    # one block of BLOCK floats, numpy's two iterator buffers for the
     # broadcast subtraction, and arrays of the grid's size; one unchunked
     # block would take 3.4 MB
-    assert peak <= 8 * _BLOCK_TERMS + 16 * np.getbufsize() + 32 * totals.nbytes
+    assert peak <= 8 * BLOCK + 16 * np.getbufsize() + 32 * totals.nbytes
     for i, w in enumerate(grid.tolist()):
         if w in overflow:
             assert totals[i] == math.inf and i not in singular, w
@@ -532,6 +533,22 @@ def test_own_cap_over_the_limit_refuses_with_its_own_count(monkeypatch):
         rod_density(1.5 * omega, 300.0, rod, bc)
     assert err.value.required == own.value.required
     assert err.value.required == required_entries(rod, bc, own_cap(1.5 * omega))
+    assert kept_rod() is None
+
+
+def test_refused_own_cap_is_built_once(monkeypatch):
+    # a new key builds at its own cap; a refusal there is raised as it is,
+    # not retried at the same cap
+    from cavityrad import slab_rod
+
+    caps = []
+    build = slab_rod._transverse_k2
+    monkeypatch.setattr(slab_rod, "_transverse_k2",
+                        lambda geom, bc, k_cap: caps.append(k_cap) or build(geom, bc, k_cap))
+    with pytest.raises(ResourceLimitError, match="transverse modes") as err:
+        rod_density(1e18, 300.0, RodGeometry(1e-2, 1e-2), BoundaryCondition.PERIODIC)
+    assert caps == [own_cap(1e18)]
+    assert err.value.__context__ is None
     assert kept_rod() is None
 
 

@@ -2,10 +2,11 @@
 
     python tests/test_src_size.py
 
-prints both counts for src/cavityrad/*.py. A code line holds part of a
-token other than a comment and lies outside every docstring, so blank,
-comment and docstring lines are not code. A statement split over several
-lines counts each of them. The counts are a report, not a size gate.
+prints both counts for each module of src/cavityrad/*.py, then their
+totals. A code line holds part of a token other than a comment and lies
+outside every docstring, so blank, comment and docstring lines are not
+code. A statement split over several lines counts each of them. The
+counts are a report, not a size gate.
 """
 
 import ast
@@ -34,9 +35,15 @@ def line_counts(text):
     return len(text.splitlines()), len(code)
 
 
+def module_counts():
+    """{module file name: (lines, code lines)} for the package's modules."""
+    return {path.name: line_counts(path.read_text(encoding="utf-8"))
+            for path in sorted(SRC.glob("*.py"))}
+
+
 def src_counts():
     """(lines, code lines) summed over the package's modules."""
-    counts = [line_counts(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")]
+    counts = module_counts().values()
     return sum(c[0] for c in counts), sum(c[1] for c in counts)
 
 
@@ -69,5 +76,7 @@ def test_src_counts_are_positive():
 
 
 if __name__ == "__main__":
+    for name, (lines, code) in module_counts().items():
+        print("%-12s %5d lines, %5d code lines" % (name, lines, code))
     lines, code = src_counts()
     print("src/cavityrad/*.py: %d lines, %d code lines" % (lines, code))

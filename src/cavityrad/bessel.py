@@ -36,7 +36,10 @@ __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
 
 #: cap on the candidate zeros of one table, counted in floats before any
 #: array exists; more raises ResourceLimitError. Twice the default estimate
-#: cap of enumerate_sphere_modes, so a sphere meets its own cap first.
+#: cap of enumerate_sphere_modes, so a sphere meets its own cap first. A
+#: table's tracemalloc peak is 52-104 B per counted candidate (max_order 1
+#: and 5 at x_max = 1e6, the full table at x_max = 1,500), so a call at the
+#: cap needs ~10-21 GB.
 MAX_BESSEL_ZEROS = 2 * 10**8
 
 #: cap on the steps of one downward recurrence in spherical_jl, which starts
@@ -47,8 +50,8 @@ MAX_RECURRENCE_STEPS = 2 * 10**6
 #: cap on the recurrence steps of one Newton sweep over a zero table, the sum
 #: of l over the candidate zeros of every level l (~x_max^3/(9 pi)), counted
 #: before any array of zeros exists; more raises ResourceLimitError. The cap
-#: is x_max ~ 3,040, where a table takes ~6 s and ~0.15 GB peak RSS on a 2-vCPU
-#: Xeon VM (x_max = 8,000 would take ~160 s and ~0.9 GB).
+#: is x_max ~ 3,040, where a table takes ~4 s and ~0.14 GB peak RSS on a 2-vCPU
+#: Xeon VM (x_max = 8,000 would take ~120 s and ~0.83 GB).
 MAX_SWEEP_STEPS = 10**9
 
 _RESCALE = 1e250
@@ -86,6 +89,13 @@ def _j1(x):
     return np.where(small, series, closed)
 
 
+def _order(l, name="l"):
+    """l as an int; ValueError unless it is a nonnegative integer."""
+    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
+        raise ValueError(name + " must be a nonnegative integer")
+    return int(l)
+
+
 def spherical_jl(l, x):
     """Spherical Bessel function j_l(x) for x >= 0, vectorized over x.
 
@@ -97,8 +107,7 @@ def spherical_jl(l, x):
     Below x = 1e-8 the small-argument series x^l/(2l+1)!! is used instead,
     with no recurrence and so no step cap.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError("l must be a nonnegative integer")
+    l = _order(l)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0) or not np.all(np.isfinite(x)):
         raise ValueError("x must be finite and >= 0")
@@ -270,6 +279,8 @@ class BesselZeroTable:
         return len(self.zeros_by_l) - 1
 
     def zeros(self, l):
+        if _order(l) > self.max_order:
+            raise ValueError("l must be at most max_order = %d" % self.max_order)
         return self.zeros_by_l[l]
 
 
@@ -282,28 +293,14 @@ def _expand(levels, counts):
 
 def _level_estimates(limit, top):
     """(levels 1..top, how many zeros of each lie below limit): the leading
-    term of Olver's expansion, plus headroom; a count that saturates fails
-    the sentinel check."""
+    term of Olver's expansion plus a headroom of 2. The table guesses one
+    candidate past each count, so a count up to 2 short of the zeros below
+    limit still leaves a sentinel; 3 short fails the sentinel check."""
     levels = np.arange(1, top + 1)
     nu = levels + 0.5
     with np.errstate(invalid="ignore"):
         phase = np.sqrt(limit**2 - nu**2) - nu * np.arccos(nu / limit)
     return levels, np.where(nu < limit, phase / math.pi + 0.25, 0.0).astype(np.int64) + 2
-
-
-def _candidate_counts(x_max, top):
-    """Zeros to solve on levels 0..top: each level's guesses up to the limit
-    plus one sentinel, never more than the level below (where the lower ends
-    of the interlacing intervals come from)."""
-    limit = x_max + _GUESS_MARGIN
-    levels, est = _level_estimates(limit, top)
-    l, n = _expand(levels, est)
-    below = np.bincount(l - 1, weights=_olver_guess(l, n) <= limit, minlength=top)
-    counts = np.concatenate(([int(limit / math.pi)], below.astype(np.int64))) + 1
-    empty = np.flatnonzero(counts == 1)
-    if empty.size:
-        counts = counts[: empty[0] + 1]          # the first level with no zero
-    return np.minimum.accumulate(counts)
 
 
 def _check_interlacing(l, n, x, roots, offsets, counts, x_max):
@@ -336,35 +333,44 @@ def _check_interlacing(l, n, x, roots, offsets, counts, x_max):
 def build_bessel_zero_table(x_max, max_order=None):
     """Tabulate the zeros of the spherical Bessel functions up to x_max.
 
-    Levels stop at the first l with no zero below x_max, or at max_order.
-    Raises BesselZeroError if the solved zeros fail the interlacing check,
-    and ResourceLimitError before any array of zeros exists if the levels to
+    Levels stop at the first l with no zero below x_max, or at max_order,
+    which must be a nonnegative integer (else ValueError). Raises
+    BesselZeroError if the solved zeros fail the interlacing check, and
+    ResourceLimitError before any array of zeros exists if the levels to
     solve hold more than MAX_BESSEL_ZEROS candidate zeros, or if one Newton
     sweep over them takes more than MAX_SWEEP_STEPS recurrence steps.
     """
     x_max = finite_real(x_max, "x_max must be finite and > 0")
-    if x_max < math.pi:
-        return BesselZeroTable(x_max, (np.empty(0),))
     top = int(x_max + _GUESS_MARGIN) + 1       # j_l has no zero below l + 1/2
     if max_order is not None:
-        top = max(0, min(top, max_order))
+        top = min(top, _order(max_order, "max_order"))
+    if x_max < math.pi:
+        return BesselZeroTable(x_max, (np.empty(0),))
     # each level holds at most limit/pi guesses, all levels ~limit^2/8 (the
-    # integral of the phase in _candidate_counts), and each level adds at most
-    # 2.25 for the headroom and the sentinel
+    # integral of the phase in _level_estimates), and each level adds at most
+    # 3.25 for the headroom and the guess past it
     limit, levels = x_max + _GUESS_MARGIN, top + 1.0
-    required = min(limit * limit / 8.0, levels * limit / math.pi) + 2.25 * levels
+    required = min(limit * limit / 8.0, levels * limit / math.pi) + 3.25 * levels
     if not required <= MAX_BESSEL_ZEROS:
         raise ResourceLimitError(required, MAX_BESSEL_ZEROS, "Bessel zeros")
+    orders, est = _level_estimates(limit, top)
     # each Newton sweep recurs l steps for every candidate zero of level l
-    steps = int(np.dot(*_level_estimates(limit, top)))
+    steps = int(np.dot(orders, est))
     if not steps <= MAX_SWEEP_STEPS:
         raise ResourceLimitError(steps, MAX_SWEEP_STEPS, "recurrence steps per sweep")
-    counts = _candidate_counts(x_max, top)
-    c0 = int(counts[0])
-    l, n = _expand(np.arange(1, counts.size), counts[1:])
+    l, n = _expand(orders, est + 1)
     x = _olver_guess(l, n)
+    # each level's guesses up to the limit plus one sentinel, never more than
+    # the level below (where the lower ends of the interlacing intervals are)
+    below = np.bincount(l[x <= limit] - 1, minlength=top)
+    counts = np.concatenate(([int(limit / math.pi)], np.minimum(below, est))) + 1
+    counts = np.minimum.accumulate(counts)
+    counts = counts[: np.count_nonzero(counts > 1) + 1]   # to the first level with no zero
+    # Newton and the check take the first counts[l] guesses of each level
+    keep = n <= np.pad(counts, (0, top + 1 - counts.size))[l]
+    l, n, x = l[keep], n[keep], x[keep]
     _newton(l, x)
-    roots = np.concatenate((np.arange(1, c0 + 1) * math.pi, x))
+    roots = np.concatenate((np.arange(1, counts[0] + 1) * math.pi, x))
     offsets = np.cumsum(counts) - counts
     _check_interlacing(l, n, x, roots, offsets, counts, x_max)
     levels = []
@@ -385,8 +391,7 @@ def spherical_bessel_zeros(l, x_max):
     level l - 1; the empty array is a valid result when j_l has no zero
     below x_max.
     """
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError("l must be a nonnegative integer")
+    l = _order(l)
     table = build_bessel_zero_table(float(x_max), max_order=l)
     if l > table.max_order:
         return np.empty(0)

@@ -265,6 +265,62 @@ def test_interlacing_failure_raises_and_exits_4(monkeypatch, capsys):
     assert out.err.startswith("error: ") and len(out.err.splitlines()) == 1
 
 
+def test_olver_guess_and_estimates_run_once_per_table(monkeypatch):
+    from cavityrad import bessel
+
+    # the level estimates and the Olver guesses of a table are each formed once
+    calls = []
+    for name in ("_olver_guess", "_level_estimates"):
+        def counted(*args, _f=getattr(bessel, name), _name=name):
+            calls.append(_name)
+            return _f(*args)
+        monkeypatch.setattr(bessel, name, counted)
+    for x_max, max_order in ((60.0, None), (X_SPHERE, None), (1e4, 3)):
+        calls.clear()
+        build_bessel_zero_table(x_max, max_order)
+        assert sorted(calls) == ["_level_estimates", "_olver_guess"], (x_max, max_order)
+
+
+@pytest.mark.parametrize("x_max", [60.0, X_SPHERE])
+def test_estimates_up_to_two_short_leave_the_table_unchanged(monkeypatch, x_max):
+    from cavityrad import bessel
+
+    # the one guess past each estimate keeps a level's sentinel while the
+    # estimate is at most 2 short; 3 short leaves a level without one
+    estimates = bessel._level_estimates
+    reference = build_bessel_zero_table(x_max).zeros_by_l
+    for short in (1, 2, 3):
+        def lowered(limit, top, _short=short):
+            levels, est = estimates(limit, top)
+            return levels, np.maximum(est - _short, 0)
+        monkeypatch.setattr(bessel, "_level_estimates", lowered)
+        if short == 3:
+            with pytest.raises(BesselZeroError, match="sentinel"):
+                build_bessel_zero_table(x_max)
+            continue
+        table = build_bessel_zero_table(x_max).zeros_by_l
+        assert len(table) == len(reference)
+        assert all(np.array_equal(a, b) for a, b in zip(table, reference)), short
+
+
+def test_orders_are_nonnegative_integers_everywhere():
+    table = build_bessel_zero_table(20.0)
+    for bad in (-1, 1.5, float("nan"), True, "2"):
+        with pytest.raises(ValueError, match="^max_order must be a nonnegative integer$"):
+            build_bessel_zero_table(20.0, max_order=bad)
+        for call in (lambda: table.zeros(bad), lambda: spherical_jl(bad, 1.0),
+                     lambda: spherical_bessel_zeros(bad, 20.0)):
+            with pytest.raises(ValueError, match="^l must be a nonnegative integer$"):
+                call()
+    with pytest.raises(ValueError, match="^max_order must be"):
+        build_bessel_zero_table(1.0, max_order=-1)  # no zero below pi: still checked
+    for beyond in (table.max_order + 1, 99):
+        with pytest.raises(ValueError, match="at most max_order = %d" % table.max_order):
+            table.zeros(beyond)
+    assert table.zeros(np.int64(table.max_order)) is table.zeros_by_l[-1]
+    assert build_bessel_zero_table(20.0, max_order=np.uint8(2)).max_order == 2
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         spherical_jl(-1, 1.0)
@@ -297,7 +353,7 @@ def test_zero_tables_past_the_sweep_cap_refused_before_allocation():
     from cavityrad.bessel import MAX_SWEEP_STEPS
 
     # x_max = 8,000 (a 1 mm sphere to 4.8e15 rad/s) passes the zero cap, but
-    # its table would take ~160 s and ~0.9 GB; the sweep cap is near 3,040
+    # its table would take ~120 s and ~0.8 GB; the sweep cap is near 3,040
     tracemalloc.start()
     try:
         for x_max in (3050.0, 8000.0, 28000.0):

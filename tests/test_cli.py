@@ -461,7 +461,7 @@ def test_unbounded_modes_exit_3(flags):
 
 def test_sphere_past_the_sweep_cap_exits_3_at_once(capsys):
     # x_max ~ 8,000 passes the zero-count estimate, but its zero table would
-    # take ~160 s and ~0.9 GB; the sweep cap refuses it before it is built
+    # take ~120 s and ~0.8 GB; the sweep cap refuses it before it is built
     import time
 
     start = time.perf_counter()

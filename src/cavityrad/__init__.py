@@ -5,6 +5,20 @@ antiperiodic and Dirichlet boundary conditions, with the Planck formula and
 the three-term Weyl asymptotic expansion as references.
 """
 
+import os
+import sys
+
+# cavityrad makes no BLAS call, but numpy's OpenBLAS starts a worker thread at
+# load that busy-waits for ~0.1 s of CPU. Load numpy with one OpenBLAS thread,
+# unless the caller set OPENBLAS_NUM_THREADS or imported numpy already, and
+# leave the environment as it was (OpenBLAS reads the variable once, at load).
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .bessel import (BesselZeroTable, build_bessel_zero_table,
                      spherical_bessel_zeros, spherical_jl)
 from .binned import BinnedSpectrum, binned_density, cube_binned_density

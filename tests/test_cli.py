@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tracemalloc
@@ -498,6 +499,44 @@ def test_runtime_imports_no_scipy(tmp_path):
     r = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
                        text=True)
     assert r.returncode == 0, r.stderr
+
+
+def after_import(modules, openblas_threads=None):
+    """A fresh interpreter's OS threads after `import <modules>`, whether that import left
+    its environment as it was, and whether it loaded scipy. OPENBLAS_NUM_THREADS is unset,
+    or set to `openblas_threads`."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if openblas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = openblas_threads
+    script = (
+        "import json, os, sys\n"
+        "before = dict(os.environ)\n"
+        f"import {modules}\n"
+        "print(json.dumps({'threads': len(os.listdir('/proc/self/task')),\n"
+        "                  'environ_kept': dict(os.environ) == before,\n"
+        "                  'scipy': any(m.split('.')[0] == 'scipy' for m in sys.modules)}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
+                                     reason="no /proc/self/task to count threads")
+
+
+@needs_task_list
+def test_import_loads_openblas_with_one_thread_and_keeps_the_environment():
+    assert after_import("cavityrad") == {"threads": 1, "environ_kept": True, "scipy": False}
+
+
+@needs_task_list
+@pytest.mark.parametrize("modules, openblas_threads", [("cavityrad", "2"),
+                                                       ("numpy, cavityrad", None)])
+def test_preset_openblas_threads_or_numpy_loaded_first_is_left_alone(modules,
+                                                                     openblas_threads):
+    bare = after_import("numpy", openblas_threads)["threads"]
+    assert after_import(modules, openblas_threads)["threads"] == bare
 
 
 # one input per refusal of _build_config, plus the modes refusal of a film and a rod

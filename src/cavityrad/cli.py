@@ -20,16 +20,13 @@ import sys
 import dataclasses
 from types import SimpleNamespace
 
-import numpy as np
-
-from .binned import _bin_layout, binned_density, cube_binned_density
+# numpy and the compute modules are imported by the functions that use them,
+# once a request is accepted: a refusal costs argparse and arithmetic only
+from . import _load_numpy
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
                        RodGeometry, SphereGeometry, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
-from .modes import enumerate_box_modes, enumerate_sphere_modes
-from .planck import planck_density, weyl_density
-from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
 from .validate import finite_real
 
 __all__ = ["main", "run_spectrum", "run_modes", "run_figures"]
@@ -153,6 +150,8 @@ def _echo(cfg, command):
 
 
 def _mode_list(cfg):
+    _load_numpy()
+    from .modes import enumerate_box_modes, enumerate_sphere_modes
     if cfg.geometry == "sphere":
         return enumerate_sphere_modes(cfg.geom, cfg.omega_max)
     return enumerate_box_modes(cfg.geom, cfg.bc, cfg.omega_max)
@@ -173,9 +172,12 @@ def compute(cfg):
         measure = geom.L1 * geom.L2 if cfg.geometry == "rod" else geom.volume
         finite_real(measure, "the %s from --%s is 0 or too large for a float"
                     % (what, _GEOMETRIES[cfg.geometry][1]))
+    if cfg.sampled and cfg.samples > MAX_SAMPLES:
+        raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
+    np = _load_numpy()
+    from .planck import planck_density, weyl_density
     if cfg.sampled:
-        if cfg.samples > MAX_SAMPLES:
-            raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
+        from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
         omega = grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
         if cfg.geometry == "film":
             values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
@@ -189,6 +191,7 @@ def compute(cfg):
                     "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
                 )
     else:
+        from .binned import _bin_layout, binned_density, cube_binned_density
         _bin_layout(cfg.omega_max, cfg.delta_omega, geom.volume)  # refuses before any work
         if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
             # a cube's frequencies are sqrt(integer norms): no lattice scan needed
@@ -275,10 +278,10 @@ def run_modes(ns):
 
 
 def run_figures(ns):
-    from .figures import generate_figure
-
     if ns.figure not in (1, 2, 3, 4):
         raise UsageError("figure id must be 1, 2, 3 or 4")
+    _load_numpy()
+    from .figures import generate_figure
     written = generate_figure(ns.figure, ns.output_dir)
     for path in written:
         print(path, file=sys.stderr)

@@ -6,8 +6,8 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
+# no module-level numpy: the CLI checks a request on these classes before it
+# loads numpy, so the functions that need numpy import it themselves
 from .errors import ResourceLimitError
 from .validate import finite_real
 
@@ -76,6 +76,7 @@ def lattice_axes(lengths, bc, k_cap, cap, what):
     compared with cap, so a cutoff too large for any array raises
     ResourceLimitError(required, cap, what) before an int or an array exists.
     """
+    import numpy as np
     period, offset, _ = quantization(bc)
     bounds = [float(np.ceil(k_cap * L / period + offset)) + 1.0 for L in lengths]
     required = math.prod(label_count(m, bc) for m in bounds)
@@ -86,6 +87,7 @@ def lattice_axes(lengths, bc, k_cap, cap, what):
 
 def axis_wavenumbers(L, bc, m):
     """Wavenumbers and their integer labels n on one axis with label bound m."""
+    import numpy as np
     period, offset, two_sided = quantization(bc)
     m = int(m)
     n = np.arange(label_count(m, bc)) + (-m if two_sided else 1)  # from the first label
@@ -103,6 +105,8 @@ def disc_sums(axes, cap, weights=None):
     With one weight array per axis, the products of the weights go through
     the same cuts and (sums, weights) is returned.
     """
+    import numpy as np
+
     def cut(s, w):
         keep = s <= cap
         return s[keep], (None if w is None else w[keep])

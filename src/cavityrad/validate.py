@@ -5,8 +5,6 @@ from __future__ import annotations
 import math
 import numbers
 
-import numpy as np
-
 
 def finite_real(value, message, lower=0.0, inclusive=False):
     """value as a float if it is a finite real number above lower.
@@ -29,6 +27,7 @@ def finite_real(value, message, lower=0.0, inclusive=False):
 
 def finite_density(density):
     """density, refused with ValueError if any value left the float range."""
+    import numpy as np  # not at module level: the CLI uses finite_real before numpy loads
     if not np.all(np.isfinite(density)):
         raise ValueError("the density exceeds the float range")
     return density

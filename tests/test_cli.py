@@ -138,7 +138,7 @@ def test_cube_spectrum_matches_lattice_scan(bc, side, monkeypatch, capsys):
     def no_scan(*args):
         raise AssertionError("a cube must not be scanned")
 
-    monkeypatch.setattr(cli, "enumerate_box_modes", no_scan)
+    monkeypatch.setattr("cavityrad.modes.enumerate_box_modes", no_scan)  # looked up at call
     (header, cols), _ = main_csv(
         capsys, "spectrum", "--geometry", "box", "--bc", bc, "--temperature", "300",
         "--lengths", ",".join([side] * 3), "--omega-max", "1e15", "--delta-omega", "1e13")
@@ -159,7 +159,7 @@ def test_box_with_one_unequal_side_is_scanned(monkeypatch, capsys):
     def no_cube(*args, **kw):
         raise AssertionError("only a cube takes the integer-norm path")
 
-    monkeypatch.setattr(cli, "cube_binned_density", no_cube)
+    monkeypatch.setattr("cavityrad.binned.cube_binned_density", no_cube)  # looked up at call
     (_, cols), _ = main_csv(
         capsys, "spectrum", "--geometry", "box", "--bc", "periodic", "--temperature", "300",
         "--lengths", "2e-5,2e-5,3e-5", "--omega-max", "1e15", "--delta-omega", "1e13")
@@ -501,6 +501,11 @@ def test_runtime_imports_no_scipy(tmp_path):
     assert r.returncode == 0, r.stderr
 
 
+# a film request's geometry flags, and the run flags every request needs
+FILM = ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5")
+RUN = ("--temperature", "300", "--omega-max", "1e15")
+
+
 def after_import(modules, openblas_threads=None):
     """A fresh interpreter's OS threads after `import <modules>`, whether that import left
     its environment as it was, and whether it loaded scipy. OPENBLAS_NUM_THREADS is unset,
@@ -525,6 +530,48 @@ needs_task_list = pytest.mark.skipif(not os.path.isdir("/proc/self/task"),
                                      reason="no /proc/self/task to count threads")
 
 
+def after_python_m(*args):
+    """after_import's record for a fresh interpreter that ran `python -m cavityrad ARGS`
+    the way `-m` runs it (runpy, with sys.argv[0] == "-m" while the package loads),
+    OPENBLAS_NUM_THREADS unset, plus the exit code and whether numpy was loaded."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    script = (
+        "import json, os, runpy, sys\n"
+        "before = dict(os.environ)\n"
+        "sys.argv[0] = '-m'\n"
+        "try:\n"
+        "    runpy.run_module('cavityrad', run_name='__main__', alter_sys=True)\n"
+        "except SystemExit as exc:\n"
+        "    code = exc.code\n"
+        "print(json.dumps({'code': code, 'threads': len(os.listdir('/proc/self/task')),\n"
+        "                  'environ_kept': dict(os.environ) == before,\n"
+        "                  'numpy': 'numpy' in sys.modules}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script, *args], env=env, capture_output=True,
+                       text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout)
+
+
+@needs_task_list
+@pytest.mark.parametrize("args", [
+    ("spectrum", *FILM, *RUN, "--output", "{tmp}/film.csv"),
+    ("figures", "3", "--output-dir", "{tmp}"),
+], ids=["spectrum", "figures-3"])
+def test_python_m_loads_openblas_with_one_thread_and_keeps_the_environment(args, tmp_path):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    assert after_python_m(*args) == {"code": 0, "threads": 1, "environ_kept": True,
+                                     "numpy": True}
+
+
+@needs_task_list
+def test_name_resolved_on_first_use_loads_openblas_with_one_thread():
+    # a package imported while `python -m` locates a module (sys.argv[0] == "-m") resolves
+    # its names on first use; the first one loads numpy
+    got = after_import("sys; sys.argv[0] = '-m'; import cavityrad; cavityrad.film_density")
+    assert got == {"threads": 1, "environ_kept": True, "scipy": False}
+
+
 @needs_task_list
 def test_import_loads_openblas_with_one_thread_and_keeps_the_environment():
     assert after_import("cavityrad") == {"threads": 1, "environ_kept": True, "scipy": False}
@@ -540,8 +587,6 @@ def test_preset_openblas_threads_or_numpy_loaded_first_is_left_alone(modules,
 
 
 # one input per refusal of _build_config, plus the modes refusal of a film and a rod
-FILM = ("--geometry", "film", "--bc", "dirichlet", "--length", "1e-5")
-RUN = ("--temperature", "300", "--omega-max", "1e15")
 USAGE_REFUSALS = {
     "unknown-key": ((), "foo = 1\n", "unknown config key 'foo'"),
     "bad-value": (FILM + ("--samples", "many"), None, "bad --samples value 'many'"),
@@ -565,8 +610,8 @@ USAGE_REFUSALS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(USAGE_REFUSALS))
-def test_build_config_refusals_exit_2_with_one_error_line(case, capsys, tmp_path):
+def usage_refusal(case, tmp_path):
+    """The command line of a USAGE_REFUSALS case, and its message."""
     flags, config, message = USAGE_REFUSALS[case]
     command = "modes" if case.startswith("modes-") else "spectrum"
     args = [command, *flags, *RUN]
@@ -574,10 +619,63 @@ def test_build_config_refusals_exit_2_with_one_error_line(case, capsys, tmp_path
         path = tmp_path / "run.cfg"
         path.write_text(config)
         args += ["--config", str(path)]
+    return args, message
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_REFUSALS))
+def test_build_config_refusals_exit_2_with_one_error_line(case, capsys, tmp_path):
+    args, message = usage_refusal(case, tmp_path)
     assert cli.main(args) == 2
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == "error: %s\n" % message
+
+
+# refusals decided on the flags alone, besides USAGE_REFUSALS: (args, exit code, message)
+FLAG_REFUSALS = {
+    "samples-cap": (("spectrum", *FILM, *RUN, "--samples", "1000000000000000"), 3,
+                    "the request needs 1000000000000000 grid samples, exceeding the cap of "
+                    "10000000"),
+    "figure-id": (("figures", "9"), 2, "figure id must be 1, 2, 3 or 4"),
+}
+
+# the modules only box and sphere requests (and tests) need
+BOX_AND_SPHERE_MODULES = {"cavityrad." + m for m in ("bessel", "binned", "modes", "oracle")}
+
+
+def cli_imports(*args):
+    """A `python -X importtime -m cavityrad` run: its exit code, its stderr without the
+    import lines and the set of modules it imported."""
+    r = subprocess.run([sys.executable, "-X", "importtime", "-m", "cavityrad", *args],
+                       capture_output=True, text=True)
+    lines = r.stderr.splitlines(keepends=True)
+    imported = {line.rsplit("|", 1)[1].strip() for line in lines
+                if line.startswith("import time:")}
+    err = "".join(line for line in lines if not line.startswith("import time:"))
+    return r.returncode, err, imported
+
+
+@pytest.mark.parametrize("case", sorted(USAGE_REFUSALS) + sorted(FLAG_REFUSALS))
+def test_python_m_refuses_before_numpy_or_a_compute_module_loads(case, tmp_path):
+    if case in FLAG_REFUSALS:
+        args, code, message = FLAG_REFUSALS[case]
+    else:
+        (args, message), code = usage_refusal(case, tmp_path), 2
+    exit_code, err, imported = cli_imports(*args)
+    assert (exit_code, err) == (code, "error: %s\n" % message)
+    assert "cavityrad.cli" in imported
+    assert sorted(m for m in imported if m.split(".")[0] == "numpy") == []
+    compute = BOX_AND_SPHERE_MODULES | {"cavityrad.slab_rod", "cavityrad.planck"}
+    assert sorted(imported & compute) == []
+
+
+def test_python_m_film_spectrum_loads_no_box_or_sphere_module(tmp_path):
+    out = tmp_path / "film.csv"
+    code, err, imported = cli_imports("spectrum", *FILM, *RUN, "--compare", "planck",
+                                      "--output", str(out))
+    assert (code, err) == (0, "") and out.stat().st_size > 0
+    assert {"numpy", "cavityrad.slab_rod"} <= imported
+    assert sorted(imported & BOX_AND_SPHERE_MODULES) == []
 
 
 @pytest.mark.parametrize("geometry, flags", [

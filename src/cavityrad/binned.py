@@ -16,24 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import C_LIGHT
-from .errors import ConvolutionExactnessError, ResourceLimitError
-from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, _kept_table, axis_wavenumbers,
-                       disc_sums, quantization)
-from .modes import ModeList
+from .errors import ConvolutionExactnessError
+from .geometry import (BLOCK, MAX_BINS, MAX_CUBE_NORMS, BoundaryCondition, _bin_layout,
+                       _cube_unit, _kept_table, _norm_bound, axis_wavenumbers, disc_sums,
+                       quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "MAX_BINS",
            "MAX_CUBE_NORMS"]
-
-#: cap on the bins of one spectrum; more raises ResourceLimitError
-MAX_BINS = 10**7
-
-#: cap on the integer norms m_max of one cube spectrum; more raises
-#: ResourceLimitError. At the cap one spectrum takes ~1.4 s and ~0.22 GB peak RSS
-#: on a 2-vCPU Xeon VM.
-MAX_CUBE_NORMS = 10**7
 
 
 @dataclass(frozen=True)
@@ -59,24 +50,6 @@ class BinnedSpectrum:
         return float(np.sum(self.u) * self.delta_omega * self.volume)
 
 
-def _bin_layout(omega_max, delta_omega, volume):
-    """Checked bin count and partial flag, before any mode or bin array exists."""
-    if not (delta_omega > 0 and volume > 0):
-        raise ValueError("delta_omega and volume must be > 0, got delta_omega=%r, "
-                         "volume=%r" % (delta_omega, volume))
-    q = omega_max / delta_omega
-    if not q <= MAX_BINS:
-        raise ResourceLimitError(math.ceil(q) if math.isfinite(q) else q, MAX_BINS,
-                                 "frequency bins")
-    if not 0.0 < volume * delta_omega < math.inf:  # the divisor of every bin
-        raise ValueError("volume * delta_omega must be a positive finite product, got "
-                         "delta_omega=%r, volume=%r" % (delta_omega, volume))
-    q_round = round(q)
-    if q_round >= 1 and abs(q - q_round) <= 1e-9 * q:
-        return int(q_round), False
-    return int(math.ceil(q)), True  # last bin padded past omega_max
-
-
 def _bin_into(energy_sums, omegas, multiplicities, T, delta_omega):
     """Add each mode's thermal energy to its bin of energy_sums, in mode order."""
     idx = np.minimum((omegas / delta_omega).astype(np.int64), energy_sums.size - 1)
@@ -96,7 +69,7 @@ def _spectrum(energy_sums, delta_omega, volume, layout):
     )
 
 
-def binned_density(modes: ModeList, T, delta_omega, volume):
+def binned_density(modes, T, delta_omega, volume):
     """Binned spectral density of a ModeList, J s/(rad m^3) per bin.
 
     A density beyond the float range raises ValueError."""
@@ -249,19 +222,6 @@ def _exact_counts_by_convolution(j, m_max):
     return r3
 
 
-def _norm_bound(omega_max, unit):
-    """Largest integer norm m with unit*sqrt(m) <= omega_max.
-
-    Compared with MAX_CUBE_NORMS as a float, so a cube too large for any
-    array is refused before an int or an array of that size exists.
-    """
-    q = omega_max / unit
-    m = q**2 * CUT_MARGIN if q < 1e100 else math.inf  # float ** raises on overflow
-    if not m <= MAX_CUBE_NORMS:
-        raise ResourceLimitError(m, MAX_CUBE_NORMS, "integer norms")
-    return int(m)
-
-
 def _cube_counts(bc, m_max):
     """r3[m] of a cube's labels for m <= m_max, read-only, in the smallest
     unsigned dtype that holds them (uint16 for the 1 cm cubes, at most uint32
@@ -292,10 +252,7 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
-    period, offset, _ = quantization(bc)
-    # k = period*(n + offset)/side = (unit/c)*j with the integer j = scale*(n + offset)
-    scale = 2 if offset else 1
-    unit = period / scale * C_LIGHT / side
+    unit = _cube_unit(side, bc)
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)

@@ -24,8 +24,9 @@ from types import SimpleNamespace
 # once a request is accepted: a refusal costs argparse and arithmetic only
 from . import _load_numpy
 from .errors import NumericalCheckError, ResourceLimitError
-from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry,
-                       RodGeometry, SphereGeometry, descriptors_for)
+from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry, RodGeometry,
+                       SphereGeometry, _bin_layout, _box_bounds, _cube_unit, _norm_bound,
+                       _sphere_x_max, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .validate import finite_real
 
@@ -150,6 +151,11 @@ def _echo(cfg, command):
 
 
 def _mode_list(cfg):
+    """The ModeList of a box or sphere run; its cap is decided before numpy loads."""
+    if cfg.geometry == "sphere":
+        _sphere_x_max(cfg.geom, cfg.omega_max)
+    else:
+        _box_bounds(cfg.geom, cfg.bc, cfg.omega_max)
     _load_numpy()
     from .modes import enumerate_box_modes, enumerate_sphere_modes
     if cfg.geometry == "sphere":
@@ -174,41 +180,44 @@ def compute(cfg):
                     % (what, _GEOMETRIES[cfg.geometry][1]))
     if cfg.sampled and cfg.samples > MAX_SAMPLES:
         raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
-    np = _load_numpy()
-    from .planck import planck_density, weyl_density
     if cfg.sampled:
+        np = _load_numpy()
         from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
         omega = grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
         if cfg.geometry == "film":
-            values = [float(v) for v in film_density(grid, cfg.temperature, geom, cfg.bc)]
+            values = film_density(grid, cfg.temperature, geom, cfg.bc).tolist()
         else:
             totals, singular = _rod_sums(grid, geom, cfg.bc, THRESHOLD_GUARD)
-            densities = _rod_values(grid, cfg.temperature, geom, totals)
-            values = [None if i in singular else float(v) for i, v in enumerate(densities)]
+            values = _rod_values(grid, cfg.temperature, geom, totals).tolist()
             for i, exc in singular.items():
+                values[i] = None
                 warnings.append(
                     "singular sample skipped at omega=%r: transverse mode "
                     "(n1=%d, n2=%d)" % (float(grid[i]), exc.mode[0], exc.mode[1])
                 )
     else:
-        from .binned import _bin_layout, binned_density, cube_binned_density
-        _bin_layout(cfg.omega_max, cfg.delta_omega, geom.volume)  # refuses before any work
+        # every cap of a binned run is decided before numpy loads: the bins, then
+        # the cube norms here or the lattice points or sphere zeros in _mode_list
+        _bin_layout(cfg.omega_max, cfg.delta_omega, geom.volume)
         if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
             # a cube's frequencies are sqrt(integer norms): no lattice scan needed
+            _norm_bound(cfg.omega_max, _cube_unit(geom.L1, cfg.bc))
+            _load_numpy()
+            from .binned import cube_binned_density
             spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
                                        cfg.omega_max)
         else:
-            spec = binned_density(_mode_list(cfg), cfg.temperature, cfg.delta_omega,
-                                  geom.volume)
-        omega, values, grid = spec.omega_left, [float(v) for v in spec.u], spec.omega_centers
+            modes = _mode_list(cfg)
+            from .binned import binned_density
+            spec = binned_density(modes, cfg.temperature, cfg.delta_omega, geom.volume)
+        omega, values, grid = spec.omega_left, spec.u.tolist(), spec.omega_centers
+    from .planck import planck_density, weyl_density
     series = [("spectrum", omega, values)]
     if "planck" in cfg.compare:
-        series.append(("planck", grid,
-                       [float(v) for v in planck_density(grid, cfg.temperature)]))
+        series.append(("planck", grid, planck_density(grid, cfg.temperature).tolist()))
     if "weyl" in cfg.compare:
         desc = descriptors_for(geom)
-        series.append(("weyl", grid,
-                       [float(v) for v in weyl_density(grid, cfg.temperature, desc)]))
+        series.append(("weyl", grid, weyl_density(grid, cfg.temperature, desc).tolist()))
     return series, grid, warnings
 
 
@@ -217,7 +226,7 @@ def _csv_lines(cfg, series):
     header = ["omega_rad_s" if cfg.sampled else "omega_left_rad_s", "u_J_s_m3"]
     # reference columns for binned runs are evaluated at bin centers
     header += ["%s_J_s_m3" % name for name, _, _ in series[1:]]
-    columns = [[float(w) for w in series[0][1]]] + [values for _, _, values in series]
+    columns = [series[0][1].tolist()] + [values for _, _, values in series]
     return spectrum_csv_lines(header, columns)
 
 
@@ -228,7 +237,7 @@ def _emit(cfg, command, series, warnings):
         payload = {
             "config": _echo(cfg, command),
             "series": [
-                {"name": name, "omega": [float(w) for w in omega], "values": values}
+                {"name": name, "omega": omega.tolist(), "values": values}
                 for name, omega, values in series
             ],
             "warnings": warnings,

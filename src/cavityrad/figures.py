@@ -50,11 +50,10 @@ def generate_figure(fig_id, output_dir):
         if section.get("planck-reference") == "yes":
             panel_refs[panel] = (grid, cfg.temperature)
     for panel, (grid, temperature) in panel_refs.items():
-        vals = [float(v) for v in planck_density(grid, temperature)]
         path = os.path.join(output_dir, "fig%d_%s_planck.csv" % (fig_id, panel))
         write_csv(path, spectrum_csv_lines(
             ["omega_rad_s", "u_J_s_m3"],
-            [[float(w) for w in grid], vals],
+            [grid.tolist(), planck_density(grid, temperature).tolist()],
         ))
         written.append(path)
     return written

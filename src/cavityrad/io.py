@@ -29,10 +29,8 @@ def spectrum_csv_lines(header, columns):
 
 def modes_csv_lines(modes):
     """ModeList dump: header omega_rad_s,multiplicity, ascending."""
-    lines = ["omega_rad_s,multiplicity"]
-    for w, m in zip(modes.omegas, modes.multiplicities):
-        lines.append("%s,%d" % (format_value(w), int(m)))
-    return lines
+    rows = zip(modes.omegas.tolist(), modes.multiplicities.tolist())
+    return ["omega_rad_s,multiplicity"] + ["%s,%d" % (format_value(w), m) for w, m in rows]
 
 
 def write_csv(path, lines):

@@ -18,11 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bessel import build_bessel_zero_table
 from .constants import C_LIGHT
-from .errors import ResourceLimitError
-from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, BoxGeometry, SphereGeometry,
-                       disc_sums, lattice_axes, quantization)
+from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition, BoxGeometry,
+                       SphereGeometry, _box_bounds, _sphere_x_max, axis_wavenumbers, disc_sums,
+                       quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -31,9 +30,6 @@ __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes",
 
 #: relative tolerance below which neighbouring frequencies merge into one entry
 MERGE_RTOL = 1e-12
-
-#: default cap on the number of lattice points a single enumeration may scan
-DEFAULT_LATTICE_CAP = 10**8
 
 
 @dataclass(frozen=True)
@@ -100,11 +96,10 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     raises ResourceLimitError naming that count.
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
+    bounds = _box_bounds(geom, bc, omega_max, max_lattice_points)
+    ks = [axis_wavenumbers(L, bc, m)[0] for L, m in zip((geom.L1, geom.L2, geom.L3), bounds)]
     k_max = omega_max / C_LIGHT
-    axes = lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, max_lattice_points,
-                        "lattice points")
     s_cap = (k_max * k_max) * CUT_MARGIN  # superset; exact filter in omega below
-    ks = [k for k, _ in axes]
     if quantization(bc)[2]:
         # a two-sided rule is sign-symmetric: scan k_i >= 0 only, and let each
         # nonzero component stand for +k_i and -k_i, whose squares are equal
@@ -129,13 +124,10 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max):
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     radius = geom.radius
-    x_max = omega_max * radius / C_LIGHT
-    estimate = x_max * x_max / 8.0 + x_max  # zero-count estimate; may be inf
-    if not estimate < DEFAULT_LATTICE_CAP:
-        raise ResourceLimitError(int(estimate) + 1 if math.isfinite(estimate) else estimate,
-                                 DEFAULT_LATTICE_CAP, "Bessel zeros")
+    x_max = _sphere_x_max(geom, omega_max)
     if x_max < math.pi:  # no zero; also an x_max that underflows to 0, which the table refuses
         return ModeList(np.empty(0), np.empty(0, dtype=np.int64), omega_max)
+    from .bessel import build_bessel_zero_table  # only a sphere needs the Bessel module
     table = build_bessel_zero_table(x_max)
     omegas, weights = [], []
     for l, zeros in enumerate(table.zeros_by_l):

@@ -631,12 +631,33 @@ def test_build_config_refusals_exit_2_with_one_error_line(case, capsys, tmp_path
     assert out.err == "error: %s\n" % message
 
 
+# small periodic boxes (CUBE, BOX), and a sphere and a box whose run flags exceed a cap
+CUBE = ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-5,1e-5,1e-5")
+BOX = ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-5,2e-5,1e-5")
+SPHERE_2CM = ("--geometry", "sphere", "--diameter", "2e-2", "--temperature", "300",
+              "--omega-max", "1e16")
+BOX_1MM = ("--geometry", "box", "--bc", "periodic", "--lengths", "1e-3,2e-3,1e-3",
+           "--temperature", "300", "--omega-max", "1e17")
+CAP = "the request needs %s, exceeding the cap of %d"
+
 # refusals decided on the flags alone, besides USAGE_REFUSALS: (args, exit code, message)
 FLAG_REFUSALS = {
     "samples-cap": (("spectrum", *FILM, *RUN, "--samples", "1000000000000000"), 3,
-                    "the request needs 1000000000000000 grid samples, exceeding the cap of "
-                    "10000000"),
+                    CAP % ("1000000000000000 grid samples", cli.MAX_SAMPLES)),
     "figure-id": (("figures", "9"), 2, "figure id must be 1, 2, 3 or 4"),
+    "bin-cap": (("spectrum", *CUBE, *RUN, "--delta-omega", "1e-2"), 3,
+                CAP % ("1e+17 frequency bins", MAX_BINS)),
+    "cube-norm-cap": (("spectrum", "--geometry", "box", "--bc", "periodic", "--lengths",
+                       "1e-3,1e-3,1e-3", "--temperature", "300", "--omega-max", "1e17"), 3,
+                      CAP % ("2818375516.4766545 integer norms", MAX_CUBE_NORMS)),
+    "sphere-zero-cap": (("spectrum", *SPHERE_2CM), 3,
+                        CAP % ("13908459265 Bessel zeros", DEFAULT_LATTICE_CAP)),
+    "box-lattice-cap": (("spectrum", *BOX_1MM), 3,
+                        CAP % ("2394198771831677 lattice points", DEFAULT_LATTICE_CAP)),
+    "modes-sphere-zero-cap": (("modes", *SPHERE_2CM), 3,
+                              CAP % ("13908459265 Bessel zeros", DEFAULT_LATTICE_CAP)),
+    "modes-box-lattice-cap": (("modes", *BOX_1MM), 3,
+                              CAP % ("2394198771831677 lattice points", DEFAULT_LATTICE_CAP)),
 }
 
 # the modules only box and sphere requests (and tests) need
@@ -669,13 +690,18 @@ def test_python_m_refuses_before_numpy_or_a_compute_module_loads(case, tmp_path)
     assert sorted(imported & compute) == []
 
 
-def test_python_m_film_spectrum_loads_no_box_or_sphere_module(tmp_path):
-    out = tmp_path / "film.csv"
-    code, err, imported = cli_imports("spectrum", *FILM, *RUN, "--compare", "planck",
+@pytest.mark.parametrize("flags, loaded, unused", [
+    (FILM, {"cavityrad.slab_rod"}, BOX_AND_SPHERE_MODULES),
+    (CUBE, {"cavityrad.binned"}, {"cavityrad.modes", "cavityrad.bessel", "cavityrad.slab_rod"}),
+    (BOX, {"cavityrad.binned", "cavityrad.modes"}, {"cavityrad.bessel", "cavityrad.slab_rod"}),
+], ids=["film", "cube", "box"])
+def test_python_m_spectrum_loads_only_the_modules_it_calls(flags, loaded, unused, tmp_path):
+    out = tmp_path / "spectrum.csv"
+    code, err, imported = cli_imports("spectrum", *flags, *RUN, "--compare", "planck",
                                       "--output", str(out))
     assert (code, err) == (0, "") and out.stat().st_size > 0
-    assert {"numpy", "cavityrad.slab_rod"} <= imported
-    assert sorted(imported & BOX_AND_SPHERE_MODULES) == []
+    assert {"numpy", *loaded} <= imported
+    assert sorted(imported & unused) == []
 
 
 @pytest.mark.parametrize("geometry, flags", [

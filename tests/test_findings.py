@@ -3,6 +3,28 @@
 x = L/lambda_T with lambda_T = hbar*c/(k_B*T). A Dirichlet film's total
 energy carries a surface term: E/E_Planck - 1 = -(A/V)*pi*zeta(3)*lambda_T/(12*zeta(4))
 with A/V = 2/L, so x*(E/E_Planck - 1) tends to -pi*zeta(3)/(6*zeta(4)).
+
+Periodic and antiperiodic films have no surface term; their excess falls as
+x^-4. In units hbar = c = k_B = 1, beta = 1/T, per polarization, the free
+energy density of the film's field, vacuum included, is the image sum
+
+    f = -1/(2 pi^2) * sum over (m, n) != (0, 0) of s^n / ((m beta)^2 + (n L)^2)^2
+
+with s = 1 (periodic) or s = -1 (antiperiodic), and u = d(beta f)/d(beta).
+* n = 0 is Planck: f = -pi^2 T^4/90, u_Planck = pi^2 T^4/30.
+* m = 0 is the vacuum (Casimir) energy of the compact dimension,
+  eps_C = -1/pi^2 * sum_{n>=1} s^n/(n L)^4: -zeta(4)/(pi^2 L^4) periodic,
+  +eta(4)/(pi^2 L^4) = +(7/8) zeta(4)/(pi^2 L^4) antiperiodic.
+* For m, n != 0, Poisson summation over m gives
+  sum_m ((m beta)^2 + b^2)^-2 = pi/(2 beta b^3) * (1 + 2 (1 + 2 pi b/beta) e^(-2 pi b/beta) + ...)
+  at b = |n| L: beta f gets a beta-free term, which carries no energy, and
+  u_corr = -s * 4 pi x e^(-2 pi x)/(L^2 beta^2) + O(e^(-4 pi x)).
+The film's thermal energy, E = u - eps_C, then has
+    x^4 (E/E_Planck - 1) = -x^4 eps_C/u_Planck - s * (120/pi) x^3 e^(-2 pi x)
+                         = 1/3 (periodic) or -(7/8)/3 (antiperiodic), each plus that term:
+the thermal correction cancels the Casimir energy of one compact dimension,
+(lambda_T/L)^4/3 of Planck, and an antiperiodic dimension carries
+-eta(4)/zeta(4) = -7/8 of it.
 """
 
 import math
@@ -19,22 +41,46 @@ from cavityrad import (
     planck_total_energy_density,
     quadrature_total_energy,
 )
+from cavityrad.geometry import quantization
 
 ZETA3 = 1.2020569031595942
 ZETA4 = math.pi**4 / 90.0
 DIRICHLET_FILM_COEFFICIENT = -math.pi * ZETA3 / (6.0 * ZETA4)  # -0.581523...
 
+#: quadrature_total_energy's default relative tolerance, which bounds the error of E
+QUADRATURE_RTOL = 1e-10
+
+
+def film_excess(x, bc, T=300.0):
+    """E/E_Planck - 1 of a film of thickness x*lambda_T, by quadrature."""
+    geom = FilmGeometry(x * HBAR * C_LIGHT / (K_B * T))
+    omega_max = 60.0 * K_B * T / HBAR  # the Planck tail beyond it is ~e^-60
+    # the mode count jumps at each period*(n + offset)*c/L; the quadrature needs every
+    # jump as an edge
+    period, offset, _ = quantization(bc)
+    step = period * C_LIGHT / geom.L1
+    thresholds = [(n + offset) * step for n in range(int(omega_max / step) + 1)]
+    energy = quadrature_total_energy(lambda w: film_density(w, T, geom, bc), omega_max,
+                                     thresholds=thresholds, rel_tol=QUADRATURE_RTOL)
+    return energy / planck_total_energy_density(T) - 1.0
+
 
 @pytest.mark.parametrize("x", [5.0, 10.0, 30.0])
 def test_dirichlet_film_surface_coefficient(x):
-    T = 300.0
-    geom = FilmGeometry(x * HBAR * C_LIGHT / (K_B * T))
-    omega_max = 60.0 * K_B * T / HBAR  # the Planck tail beyond it is ~e^-60
-    # the mode count jumps at each n*pi*c/L; the quadrature needs every jump as an edge
-    step = math.pi * C_LIGHT / geom.L1
-    thresholds = [n * step for n in range(1, int(omega_max / step) + 1)]
-    energy = quadrature_total_energy(
-        lambda w: film_density(w, T, geom, BoundaryCondition.DIRICHLET), omega_max,
-        thresholds=thresholds)
-    coefficient = x * (energy / planck_total_energy_density(T) - 1.0)
+    coefficient = x * film_excess(x, BoundaryCondition.DIRICHLET)
     assert abs(coefficient - DIRICHLET_FILM_COEFFICIENT) < 1e-3
+
+
+@pytest.mark.parametrize("x", [3.0, 4.0])
+def test_compact_film_dimension_cancels_its_casimir_energy(x):
+    # the e^(-2 pi x) image term of the docstring: 6.7e-6 at x = 3, 3.0e-8 at x = 4
+    image = 120.0 / math.pi * x**3 * math.exp(-2.0 * math.pi * x)
+    # E is converged to QUADRATURE_RTOL relative; x^4 scales that, with a 10x margin.
+    # The e^(-4 pi x) terms left out are below 1e-14 here.
+    tol = 10.0 * QUADRATURE_RTOL * x**4
+    periodic = x**4 * film_excess(x, BoundaryCondition.PERIODIC)
+    antiperiodic = x**4 * film_excess(x, BoundaryCondition.ANTIPERIODIC)
+    assert abs(periodic - (1.0 / 3.0 - image)) < tol
+    assert abs(antiperiodic - (-7.0 / 8.0 / 3.0 + image)) < tol
+    # so the ratio tends to -7/8, off by about 3/8 of the image term
+    assert abs(antiperiodic / periodic + 7.0 / 8.0) < image

@@ -24,11 +24,11 @@ failed check raises BesselZeroError.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BesselZeroError, ResourceLimitError
+from .geometry import _Record
 from .validate import finite_real
 
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
@@ -263,16 +263,14 @@ def _newton(l, x):
                           "within %d sweeps" % (x[i], _MAX_SWEEPS))
 
 
-@dataclass(frozen=True)
-class BesselZeroTable:
+class BesselZeroTable(_Record):
     """Zeros of j_l in (0, x_max] for every l that has at least one.
 
     zeros_by_l[l] is strictly increasing; neighbouring levels interlace;
     level 0 is exactly pi, 2*pi, 3*pi, ...
     """
 
-    x_max: float
-    zeros_by_l: tuple
+    _fields = ("x_max", "zeros_by_l")
 
     @property
     def max_order(self):

@@ -12,14 +12,13 @@ to accumulation roundoff.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConvolutionExactnessError
-from .geometry import (BLOCK, MAX_BINS, MAX_CUBE_NORMS, BoundaryCondition, _bin_layout,
-                       _cube_unit, _kept_table, _norm_bound, axis_wavenumbers, disc_sums,
-                       quantization)
+from .geometry import (BLOCK, MAX_BINS, MAX_CUBE_NORMS, BoundaryCondition, _Record,
+                       _bin_layout, _cube_unit, _kept_table, _norm_bound, axis_wavenumbers,
+                       disc_sums, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
 
@@ -27,15 +26,10 @@ __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "MAX_BINS"
            "MAX_CUBE_NORMS"]
 
 
-@dataclass(frozen=True)
-class BinnedSpectrum:
+class BinnedSpectrum(_Record):
     """Piecewise-constant spectral density on contiguous bins anchored at 0."""
 
-    delta_omega: float
-    omega_left: np.ndarray
-    u: np.ndarray
-    volume: float
-    last_bin_partial: bool
+    _fields = ("delta_omega", "omega_left", "u", "volume", "last_bin_partial")
 
     @property
     def n_bins(self):
@@ -208,9 +202,11 @@ def _exact_counts_by_convolution(j, m_max):
     even labels at t, which are the labels again: r3[4t] = r3[t], copied up
     from the smallest t. Antiperiodic labels are all odd: one residue class.
     """
+    # int32 holds every count: a pair (a, b) with a^2 + b^2 <= m and the sign of
+    # c fix a triple, so r3[m] <= 2 (2 sqrt(m) + 1)^2, under 10^8 below MAX_CUBE_NORMS
     if m_max < 8:
-        return np.bincount(disc_sums([j, j, j], m_max), minlength=m_max + 1)
-    r3 = np.zeros(m_max + 1, dtype=np.int64)
+        return np.bincount(disc_sums([j, j, j], m_max), minlength=m_max + 1).astype(np.int32)
+    r3 = np.zeros(m_max + 1, dtype=np.int32)
     odd = j % 2 == 1
     jo, half = j[odd], j[~odd] // 2
     jo, half = jo[jo * jo <= m_max], half[4 * half * half <= m_max]

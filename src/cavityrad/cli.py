@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import dataclasses
 from types import SimpleNamespace
 
 # numpy and the compute modules are imported by the functions that use them,
@@ -136,7 +135,7 @@ def _echo(cfg, command):
     """The config echo of a JSON run, in its fixed key order."""
     echo = {"command": command, "geometry": cfg.geometry, "bc": cfg.bc.value,
             "temperature_K": cfg.temperature}
-    lengths = list(dataclasses.astuple(cfg.geom))  # the parsed floats
+    lengths = list(cfg.geom._astuple())  # the parsed floats
     if cfg.geometry == "sphere":
         echo["diameter_m"] = lengths[0]
     else:

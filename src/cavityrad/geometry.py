@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
 from enum import Enum
 
 # no module-level numpy: the CLI checks a request on these classes and caps before
@@ -77,8 +76,8 @@ DEFAULT_LATTICE_CAP = 10**8
 MAX_BINS = 10**7
 
 #: cap on the integer norms m_max of one cube spectrum; more raises
-#: ResourceLimitError. At the cap one spectrum takes ~1.4 s and ~0.22 GB peak RSS
-#: on a 2-vCPU Xeon VM.
+#: ResourceLimitError. At the cap a periodic or Dirichlet 1 cm cube spectrum takes
+#: ~1.1 s and ~0.19 GB peak RSS on a 2-vCPU Xeon VM (antiperiodic ~0.5 s, ~0.15 GB).
 MAX_CUBE_NORMS = 10**7
 
 # The caps below are arithmetic on a request's numbers, so the CLI decides
@@ -111,7 +110,7 @@ def lattice_axes(lengths, bc, k_cap, cap, what):
 
 def _box_bounds(geom, bc, omega_max, cap=DEFAULT_LATTICE_CAP):
     """_lattice_bounds of a box's lattice points with omega = c*|k| <= omega_max."""
-    return _lattice_bounds(astuple(geom), bc, omega_max / C_LIGHT, cap, "lattice points")
+    return _lattice_bounds(geom._astuple(), bc, omega_max / C_LIGHT, cap, "lattice points")
 
 
 def _sphere_x_max(geom, omega_max):
@@ -230,6 +229,52 @@ def _kept_table(kind, key, bound, build):
     return table
 
 
+class _Record:
+    """A frozen value record of the fields named in _fields, built as a frozen
+    dataclass is but with no code generated at import.
+
+    The fields bind from positional or keyword arguments, then __post_init__
+    runs. Assigning or deleting an attribute raises AttributeError. ==, hash
+    and repr go by the field tuple, _astuple(), and == holds only within one
+    class. The fields live in the instance __dict__, so pickle and copy restore
+    an instance without __setattr__.
+    """
+
+    _fields = ()
+
+    def __init__(self, *args, **kwargs):
+        values = dict(zip(self._fields, args), **kwargs)
+        if len(args) + len(kwargs) != len(self._fields) or values.keys() != set(self._fields):
+            raise TypeError("%s takes the fields %s, each once"
+                            % (type(self).__name__, ", ".join(self._fields)))
+        self.__dict__.update(values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _astuple(self):
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % name)
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self):
+        return "%s(%s)" % (type(self).__qualname__, ", ".join(
+            "%s=%r" % pair for pair in zip(self._fields, self._astuple())))
+
+
 def _require_positive(geom, *names):
     # stores each length as a float, so numpy scalars cannot leak float32 math
     message = "%s must be a positive finite length" % ", ".join(names)
@@ -237,34 +282,28 @@ def _require_positive(geom, *names):
         object.__setattr__(geom, name, finite_real(getattr(geom, name), message))
 
 
-@dataclass(frozen=True)
-class FilmGeometry:
+class FilmGeometry(_Record):
     """Two infinite parallel plates a distance L1 apart (m)."""
 
-    L1: float
+    _fields = ("L1",)
 
     def __post_init__(self):
         _require_positive(self, "L1")
 
 
-@dataclass(frozen=True)
-class RodGeometry:
+class RodGeometry(_Record):
     """Infinite rod with finite transverse cross-section L1 x L2 (m)."""
 
-    L1: float
-    L2: float
+    _fields = ("L1", "L2")
 
     def __post_init__(self):
         _require_positive(self, "L1", "L2")
 
 
-@dataclass(frozen=True)
-class BoxGeometry:
+class BoxGeometry(_Record):
     """Closed rectangular box with edge lengths L1, L2, L3 (m)."""
 
-    L1: float
-    L2: float
-    L3: float
+    _fields = ("L1", "L2", "L3")
 
     def __post_init__(self):
         _require_positive(self, "L1", "L2", "L3")
@@ -274,11 +313,10 @@ class BoxGeometry:
         return self.L1 * self.L2 * self.L3
 
 
-@dataclass(frozen=True)
-class SphereGeometry:
+class SphereGeometry(_Record):
     """Closed sphere of the given diameter (m)."""
 
-    diameter: float
+    _fields = ("diameter",)
 
     def __post_init__(self):
         _require_positive(self, "diameter")
@@ -295,8 +333,7 @@ class SphereGeometry:
             return math.inf
 
 
-@dataclass(frozen=True)
-class GeometryDescriptors:
+class GeometryDescriptors(_Record):
     """Volume V (m^3), surface area A (m^2) and integrated mean curvature M (m).
 
     M is the surface integral of (kappa_1 + kappa_2)/2; for polyhedra it
@@ -305,9 +342,7 @@ class GeometryDescriptors:
     finite; A = M = 0 is the Planck density.
     """
 
-    V: float
-    A: float
-    M: float
+    _fields = ("V", "A", "M")
 
     def __post_init__(self):
         finite_real(self.V, "V must be a positive finite volume")

@@ -14,14 +14,13 @@ formula (whose density V omega^2/(pi^2 c^3) counts both polarizations).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import C_LIGHT
 from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition, BoxGeometry,
-                       SphereGeometry, _box_bounds, _sphere_x_max, axis_wavenumbers, disc_sums,
-                       quantization)
+                       SphereGeometry, _Record, _box_bounds, _sphere_x_max, axis_wavenumbers,
+                       disc_sums, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
@@ -32,8 +31,7 @@ __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes",
 MERGE_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModeList:
+class ModeList(_Record):
     """Sorted discrete spectrum: (omega_i, N_i) pairs below a cutoff.
 
     omegas is strictly increasing, multiplicities are positive even integers
@@ -41,9 +39,7 @@ class ModeList:
     omega_max.
     """
 
-    omegas: np.ndarray
-    multiplicities: np.ndarray
-    omega_max: float
+    _fields = ("omegas", "multiplicities", "omega_max")
 
     def __len__(self):
         return len(self.omegas)

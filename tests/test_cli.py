@@ -688,20 +688,35 @@ def test_python_m_refuses_before_numpy_or_a_compute_module_loads(case, tmp_path)
     assert sorted(m for m in imported if m.split(".")[0] == "numpy") == []
     compute = BOX_AND_SPHERE_MODULES | {"cavityrad.slab_rod", "cavityrad.planck"}
     assert sorted(imported & compute) == []
+    # the value classes generate no code at import, so no refusal reads source code
+    assert sorted(imported & {"dataclasses", "inspect"}) == []
 
 
 @pytest.mark.parametrize("flags, loaded, unused", [
     (FILM, {"cavityrad.slab_rod"}, BOX_AND_SPHERE_MODULES),
     (CUBE, {"cavityrad.binned"}, {"cavityrad.modes", "cavityrad.bessel", "cavityrad.slab_rod"}),
     (BOX, {"cavityrad.binned", "cavityrad.modes"}, {"cavityrad.bessel", "cavityrad.slab_rod"}),
-], ids=["film", "cube", "box"])
+    (("--geometry", "sphere", "--diameter", "1e-5"),
+     {"cavityrad.binned", "cavityrad.modes", "cavityrad.bessel"}, {"cavityrad.slab_rod"}),
+], ids=["film", "cube", "box", "sphere"])
 def test_python_m_spectrum_loads_only_the_modules_it_calls(flags, loaded, unused, tmp_path):
     out = tmp_path / "spectrum.csv"
     code, err, imported = cli_imports("spectrum", *flags, *RUN, "--compare", "planck",
                                       "--output", str(out))
     assert (code, err) == (0, "") and out.stat().st_size > 0
     assert {"numpy", *loaded} <= imported
-    assert sorted(imported & unused) == []
+    assert sorted(imported & (unused | {"cavityrad.oracle", "dataclasses"})) == []
+
+
+@pytest.mark.parametrize("figure, loaded, unused", [
+    ("3", {"cavityrad.binned"}, {"cavityrad.modes", "cavityrad.bessel", "cavityrad.slab_rod"}),
+    ("4", {"cavityrad.binned", "cavityrad.modes", "cavityrad.bessel"}, {"cavityrad.slab_rod"}),
+])
+def test_python_m_figures_loads_only_the_modules_it_calls(figure, loaded, unused, tmp_path):
+    code, err, imported = cli_imports("figures", figure, "--output-dir", str(tmp_path))
+    assert code == 0 and err.count("\n") == len(os.listdir(tmp_path)) > 0  # one path a CSV
+    assert {"numpy", *loaded} <= imported
+    assert sorted(imported & (unused | {"cavityrad.oracle", "dataclasses"})) == []
 
 
 @pytest.mark.parametrize("geometry, flags", [

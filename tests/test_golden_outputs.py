@@ -1,10 +1,13 @@
 """Every printed number stays the same: the bytes the CLI writes, against digests.
 
-tests/golden_outputs.json holds one sha256 per output: each CSV of `figures 1..4`,
-and for each `cli_requests` variant of the benchmark catalogue
+tests/golden_outputs.json holds one sha256 per output: each CSV of `figures 1..4`;
+for each `cli_requests` variant of the benchmark catalogue
 (perfbench/workloads.py) its exit code, stdout, stderr (temp dir normalised)
-and output file. The CLI variants run in catalogue order and again in
-reverse, in one process, so no table kept between calls may change an output.
+and output file; and for each `library_sweep` variant the repr of its public-API
+output, each array as a list, as perfbench/passrun.py computes it. The CLI
+variants run in catalogue order and again in reverse, in one process, so no
+table kept between calls may change an output; the library variants run once,
+in catalogue order, in one process.
 
 The digests hold for the numpy version and the CPU they were recorded on:
 numpy's SIMD exp, expm1 and log may round differently elsewhere, so on any
@@ -18,21 +21,23 @@ and lists each changed digest and its reason in CHANGES.md.
 
 import contextlib
 import hashlib
-import importlib.util
+import importlib
 import io
 import json
 import os
 import platform
+import sys
 import tempfile
 
 import numpy as np
 import pytest
 
+import cavityrad
 from cavityrad import cli
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 GOLDEN = os.path.join(HERE, "golden_outputs.json")
-WORKLOADS = os.path.join(HERE, os.pardir, "perfbench", "workloads.py")
+PERFBENCH = os.path.join(HERE, os.pardir, "perfbench")
 
 
 def platform_record():
@@ -42,12 +47,19 @@ def platform_record():
     return {"numpy": np.__version__, "machine": platform.machine(), "simd": simd}
 
 
-def cli_variants():
-    """The cli_requests catalogue: (key, job) in catalogue order."""
-    spec = importlib.util.spec_from_file_location("workloads", WORKLOADS)
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
-    return [(workloads.job_key(job), job) for job in workloads.all_variants("cli_requests")]
+def perfbench_module(name):
+    """perfbench/<name>.py, imported with perfbench/ on sys.path, as its own imports need."""
+    sys.path.insert(0, os.path.abspath(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        del sys.path[0]
+
+
+def variants(workload):
+    """A workload's catalogue: (key, job) in catalogue order."""
+    workloads = perfbench_module("workloads")
+    return [(workloads.job_key(job), job) for job in workloads.all_variants(workload)]
 
 
 def run(argv):
@@ -99,10 +111,21 @@ def cli_digests(variants, tmp):
     return digests
 
 
+def library_digests(variants):
+    """{key: sha256} of each (key, job) library variant, run in the given order."""
+    library_job = perfbench_module("passrun")._library_job
+    digests = {}
+    for key, job in variants:
+        output = {name: (v.tolist() if hasattr(v, "tolist") else list(v))
+                  for name, v in library_job(cavityrad, job).items()}
+        digests[key] = sha256(repr(output))
+    return digests
+
+
 @pytest.fixture(scope="module")
 def golden():
-    if not os.path.exists(WORKLOADS):
-        pytest.skip("perfbench/workloads.py, which lists the CLI variants, is not here")
+    if not os.path.exists(os.path.join(PERFBENCH, "passrun.py")):
+        pytest.skip("perfbench/, which lists the CLI and library variants, is not here")
     with open(GOLDEN, encoding="utf-8") as fh:
         recorded = json.load(fh)
     here = platform_record()
@@ -122,17 +145,23 @@ def test_figure_csvs_match_their_digests(golden, tmp_path):
 
 
 def test_cli_requests_match_their_digests_in_either_order(golden, tmp_path):
-    variants = cli_variants()
-    for name, order in (("forward", variants), ("reverse", variants[::-1])):
+    jobs = variants("cli_requests")
+    for name, order in (("forward", jobs), ("reverse", jobs[::-1])):
         got = cli_digests(order, str(tmp_path / name))
         assert changed(got, golden["cli_requests"]) == [], name
+
+
+def test_library_sweep_outputs_match_their_digests(golden):
+    assert changed(library_digests(variants("library_sweep")), golden["library_sweep"]) == []
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         record = {"platform": platform_record(),
                   "figures": figure_digests(tmp),
-                  "cli_requests": cli_digests(cli_variants(), os.path.join(tmp, "cli"))}
+                  "cli_requests": cli_digests(variants("cli_requests"),
+                                              os.path.join(tmp, "cli")),
+                  "library_sweep": library_digests(variants("library_sweep"))}
     with open(GOLDEN, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)
         fh.write("\n")

@@ -16,14 +16,12 @@ import math
 import numpy as np
 
 from .errors import ConvolutionExactnessError
-from .geometry import (BLOCK, MAX_BINS, MAX_CUBE_NORMS, BoundaryCondition, _Record,
-                       _bin_layout, _cube_unit, _kept_table, _norm_bound, axis_wavenumbers,
-                       disc_sums, quantization)
+from .geometry import (BLOCK, BoundaryCondition, _Record, _bin_layout, _cube_unit, _kept_table,
+                       _norm_bound, axis_wavenumbers, disc_sums, fold_signs, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_density, finite_real
 
-__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density", "MAX_BINS",
-           "MAX_CUBE_NORMS"]
+__all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density"]
 
 
 class BinnedSpectrum(_Record):
@@ -104,19 +102,18 @@ def _pair_counts(j, cap, shift):
 
     The pairs are summed a block of rows at a time, so no array of all pairs
     exists. Labels of both signs are folded to |a| with the number of labels
-    as a weight, so a sign-symmetric axis sums a quarter of the pairs.
+    as a weight (fold_signs), so a sign-symmetric axis sums a quarter of the pairs.
     """
-    v, w = np.unique(np.abs(j), return_counts=True)
-    folded = v.size < j.size
+    [v], w = fold_signs([j])
     # weighted counts sum in floats, exact for integers below 2^53
-    counts = np.zeros((cap >> shift) + 1, dtype=float if folded else np.int64)
+    counts = np.zeros((cap >> shift) + 1, dtype=np.int64 if w is None else float)
     rows = max(1, BLOCK // max(len(v), 1))
     for lo in range(0, len(v), rows):
-        if folded:
-            s, ww = disc_sums([v[lo:lo + rows], v], cap, [w[lo:lo + rows], w])
-            part = np.bincount(s >> shift, weights=ww)
-        else:
+        if w is None:
             part = np.bincount(disc_sums([v[lo:lo + rows], v], cap) >> shift)
+        else:
+            s, ww = disc_sums([v[lo:lo + rows], v], cap, [w[0][lo:lo + rows], w[0]])
+            part = np.bincount(s >> shift, weights=ww)
         counts[:part.size] += part
     return counts.astype(np.int64, copy=False)
 

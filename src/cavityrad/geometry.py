@@ -17,6 +17,7 @@ __all__ = [
     "label_count",
     "CUT_MARGIN",
     "lattice_axes",
+    "fold_signs",
     "disc_sums",
     "axis_wavenumbers",
     "FilmGeometry",
@@ -174,6 +175,20 @@ def axis_wavenumbers(L, bc, m):
         return period * (n + offset) / L, n
 
 
+def fold_signs(axes):
+    """(values, counts): each axis's distinct |value|, ascending, and their counts.
+
+    P and AP wavenumbers and labels pair up as exact negations, so a scan of the
+    folded axes weighted by the count products is the signed scan's multiset.
+    Axes with no negative value (Dirichlet) come back unchanged, with None.
+    """
+    import numpy as np
+    if not any((a < 0).any() for a in axes):
+        return axes, None
+    folded = [np.unique(np.abs(a), return_counts=True) for a in axes]
+    return [v for v, _ in folded], [w for _, w in folded]
+
+
 def disc_sums(axes, cap, weights=None):
     """Every sum k_1^2 + ... + k_d^2 <= cap over the axes, in row-major order.
 
@@ -275,51 +290,41 @@ class _Record:
             "%s=%r" % pair for pair in zip(self._fields, self._astuple())))
 
 
-def _require_positive(geom, *names):
-    # stores each length as a float, so numpy scalars cannot leak float32 math
-    message = "%s must be a positive finite length" % ", ".join(names)
-    for name in names:
-        object.__setattr__(geom, name, finite_real(getattr(geom, name), message))
+class _Lengths(_Record):
+    """A record of positive finite lengths, floats so numpy cannot leak float32 math."""
+
+    def __post_init__(self):
+        message = "%s must be a positive finite length" % ", ".join(self._fields)
+        for name in self._fields:
+            self.__dict__[name] = finite_real(self.__dict__[name], message)
 
 
-class FilmGeometry(_Record):
+class FilmGeometry(_Lengths):
     """Two infinite parallel plates a distance L1 apart (m)."""
 
     _fields = ("L1",)
 
-    def __post_init__(self):
-        _require_positive(self, "L1")
 
-
-class RodGeometry(_Record):
+class RodGeometry(_Lengths):
     """Infinite rod with finite transverse cross-section L1 x L2 (m)."""
 
     _fields = ("L1", "L2")
 
-    def __post_init__(self):
-        _require_positive(self, "L1", "L2")
 
-
-class BoxGeometry(_Record):
+class BoxGeometry(_Lengths):
     """Closed rectangular box with edge lengths L1, L2, L3 (m)."""
 
     _fields = ("L1", "L2", "L3")
-
-    def __post_init__(self):
-        _require_positive(self, "L1", "L2", "L3")
 
     @property
     def volume(self):
         return self.L1 * self.L2 * self.L3
 
 
-class SphereGeometry(_Record):
+class SphereGeometry(_Lengths):
     """Closed sphere of the given diameter (m)."""
 
     _fields = ("diameter",)
-
-    def __post_init__(self):
-        _require_positive(self, "diameter")
 
     @property
     def radius(self):

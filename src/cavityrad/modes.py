@@ -20,12 +20,11 @@ import numpy as np
 from .constants import C_LIGHT
 from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition, BoxGeometry,
                        SphereGeometry, _Record, _box_bounds, _sphere_x_max, axis_wavenumbers,
-                       disc_sums, quantization)
+                       disc_sums, fold_signs)
 from .planck import mean_oscillator_energy
 from .validate import finite_real
 
-__all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes",
-           "MERGE_RTOL", "DEFAULT_LATTICE_CAP"]
+__all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes", "MERGE_RTOL"]
 
 #: relative tolerance below which neighbouring frequencies merge into one entry
 MERGE_RTOL = 1e-12
@@ -87,22 +86,17 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     Frequencies agreeing within 1e-12 relative merge with summed
     multiplicities, then every multiplicity is doubled for polarization.
     The periodic (0,0,0) zero mode is excluded. Periodic and antiperiodic
-    scans visit one sign of each component only. A cutoff implying more
+    scans visit one sign of each component (fold_signs). A cutoff implying more
     points of the full signed bounding lattice than max_lattice_points
     raises ResourceLimitError naming that count.
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     bounds = _box_bounds(geom, bc, omega_max, max_lattice_points)
-    ks = [axis_wavenumbers(L, bc, m)[0] for L, m in zip((geom.L1, geom.L2, geom.L3), bounds)]
+    ks, weights = fold_signs([axis_wavenumbers(L, bc, m)[0]
+                              for L, m in zip(geom._astuple(), bounds)])
     k_max = omega_max / C_LIGHT
     s_cap = (k_max * k_max) * CUT_MARGIN  # superset; exact filter in omega below
-    if quantization(bc)[2]:
-        # a two-sided rule is sign-symmetric: scan k_i >= 0 only, and let each
-        # nonzero component stand for +k_i and -k_i, whose squares are equal
-        ks = [k[k >= 0.0] for k in ks]
-        s, w = disc_sums(ks, s_cap, [np.where(k > 0.0, 2, 1) for k in ks])
-    else:
-        s, w = disc_sums(ks, s_cap), None
+    s, w = disc_sums(ks, s_cap, weights) if weights else (disc_sums(ks, s_cap), None)
     om = C_LIGHT * np.sqrt(s)
     keep = (s > 0.0) & (om <= omega_max)  # the periodic zero mode carries no energy
     del s  # the sums are not needed while the merge sorts a copy of om

@@ -39,8 +39,8 @@ __all__ = [
 THRESHOLD_GUARD = 1e-9
 
 #: cap on the entries of one transverse k^2 table; more raises
-#: ResourceLimitError. At the cap a rod_density call takes ~1.6 s and ~0.93 GB
-#: peak RSS, rod_threshold_frequencies ~1.4 s and ~0.76 GB, on a 2-vCPU Xeon VM.
+#: ResourceLimitError. At the cap a rod_density or rod_threshold_frequencies call
+#: takes ~1.0-1.6 s and ~0.79 GB peak RSS under each BC, on a 2-vCPU Xeon VM.
 #: rod_density and the CLI grid keep the last geometry's table between calls, as
 #: geometry._kept_table's "rod" table: a growing call may build up to 4x the
 #: entries it needs. A rod_density call whose _rod_sum hits reads no table.

@@ -93,7 +93,7 @@ def test_partial_last_bin_flag():
 
 
 def test_bin_count_over_cap_refused_before_allocation():
-    from cavityrad.binned import MAX_BINS
+    from cavityrad.geometry import MAX_BINS
 
     empty = ModeList(np.empty(0), np.empty(0, dtype=np.int64), 1e15)
     assert binned_density(empty, 300.0, 1e15 / MAX_BINS, 1e-12).n_bins == MAX_BINS
@@ -392,6 +392,7 @@ def test_cube_too_large_for_a_float_volume_refused():
 @pytest.mark.parametrize("bc", list(BoundaryCondition))
 def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
     from cavityrad import binned
+    from cavityrad.geometry import MAX_CUBE_NORMS
 
     # a 1 cm cube to 3.1e14 (periodic) or 1.55e14 rad/s needs ~2.7e6 norms on
     # its own unit; the Dirichlet unit would need 1.1e7 for the periodic one
@@ -400,8 +401,8 @@ def test_cube_norm_cap_is_per_boundary_condition(bc, monkeypatch):
     monkeypatch.setattr(binned, "_exact_counts_by_convolution",
                         lambda r1, m: seen.append(m) or np.zeros(m + 1, dtype=np.int64))
     cube_binned_density(1e-2, bc, 300.0, 1e13, omega_max)
-    assert 2.6e6 < seen[0] < 2.8e6 < binned.MAX_CUBE_NORMS
-    cap = binned.MAX_CUBE_NORMS
+    assert 2.6e6 < seen[0] < 2.8e6 < MAX_CUBE_NORMS
+    cap = MAX_CUBE_NORMS
     assert binned._norm_bound(1.0, (cap - 0.5) ** -0.5) == cap - 1
     with pytest.raises(ResourceLimitError, match="integer norms"):
         binned._norm_bound(1.0, (cap + 0.5) ** -0.5)

@@ -32,8 +32,7 @@ from cavityrad import (
     rod_threshold_frequencies,
 )
 from cavityrad.bessel import MAX_SWEEP_STEPS
-from cavityrad.binned import MAX_BINS, MAX_CUBE_NORMS
-from cavityrad.modes import DEFAULT_LATTICE_CAP
+from cavityrad.geometry import DEFAULT_LATTICE_CAP, MAX_BINS, MAX_CUBE_NORMS
 from cavityrad.slab_rod import MAX_ROD_TABLE
 
 

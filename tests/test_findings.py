@@ -25,6 +25,12 @@ The film's thermal energy, E = u - eps_C, then has
 the thermal correction cancels the Casimir energy of one compact dimension,
 (lambda_T/L)^4/3 of Planck, and an antiperiodic dimension carries
 -eta(4)/zeta(4) = -7/8 of it.
+
+Claim (c), the Dirichlet asymptotic formula fails for a small cavity, is
+checked on the sphere, x = D/lambda_T. weyl_density integrates in closed
+form, with integral(t^n/(e^t - 1), 0, inf) = n! zeta(n + 1):
+
+    E_Weyl = V a T^4 - A hbar 2 zeta(3) (k_B T/hbar)^3/(4 pi c^2) + M k_B T (k_B T/hbar)/(18 c).
 """
 
 import math
@@ -37,9 +43,13 @@ from cavityrad import (
     K_B,
     BoundaryCondition,
     FilmGeometry,
+    SphereGeometry,
+    descriptors_for,
+    enumerate_sphere_modes,
     film_density,
     planck_total_energy_density,
     quadrature_total_energy,
+    weyl_density,
 )
 from cavityrad.geometry import quantization
 
@@ -84,3 +94,51 @@ def test_compact_film_dimension_cancels_its_casimir_energy(x):
     assert abs(antiperiodic - (-7.0 / 8.0 / 3.0 + image)) < tol
     # so the ratio tends to -7/8, off by about 3/8 of the image term
     assert abs(antiperiodic / periodic + 7.0 / 8.0) < image
+
+
+def weyl_total_energy(desc, T):
+    """The three-term Weyl total energy of the module docstring, J."""
+    w_T = K_B * T / HBAR
+    return (desc.V * planck_total_energy_density(T)
+            - desc.A * HBAR * 2.0 * ZETA3 * w_T**3 / (4.0 * math.pi * C_LIGHT**2)
+            + desc.M * K_B * T * w_T / (18.0 * C_LIGHT))
+
+
+def thermal_sphere(x, T=300.0):
+    return SphereGeometry(x * HBAR * C_LIGHT / (K_B * T))
+
+
+@pytest.mark.parametrize("x", [0.5, 2.0, 10.0])
+def test_weyl_total_energy_closed_form(x):
+    T, desc = 300.0, descriptors_for(thermal_sphere(x))
+    quadrature = desc.V * quadrature_total_energy(
+        lambda w: weyl_density(w, T, desc), 60.0 * K_B * T / HBAR, rel_tol=QUADRATURE_RTOL)
+    assert quadrature == pytest.approx(weyl_total_energy(desc, T), rel=1e-9)
+
+
+#: x = D/lambda_T of the sphere check
+SPHERE_GRID = [0.5 + 0.25 * i for i in range(39)]  # 0.5, 0.75, ..., 10
+
+
+def test_sphere_weyl_total_holds_from_a_few_thermal_wavelengths():
+    T, weyl, planck = 300.0, {}, {}
+    for x in SPHERE_GRID:
+        geom = thermal_sphere(x, T)
+        # the Planck tail beyond 40 k_B T/hbar is ~5e-14 of the total
+        exact = enumerate_sphere_modes(geom, 40.0 * K_B * T / HBAR).thermal_energy(T)
+        weyl[x] = exact / weyl_total_energy(descriptors_for(geom), T) - 1.0
+        planck[x] = exact / (geom.volume * planck_total_energy_density(T)) - 1.0
+
+    def first_within(tol):
+        """The smallest grid x from which every larger grid x is within tol of Weyl."""
+        return min(x for x in SPHERE_GRID
+                   if all(abs(weyl[y]) < tol for y in SPHERE_GRID if y >= x))
+
+    assert first_within(0.10) == 1.75
+    assert first_within(0.01) == 3.25
+    for x, value in [(1.5, -0.1671), (2.0, -0.0504), (3.0, -0.0101), (5.0, -0.0016)]:
+        assert weyl[x] == pytest.approx(value, abs=1e-4)
+    # the exact energy falls short of Weyl's everywhere, while at x = 10 it is
+    # still 16% below Planck's: the surface term, which Weyl carries
+    assert all(value < 0.0 for value in weyl.values())
+    assert planck[10.0] == pytest.approx(-0.1645, abs=1e-4)

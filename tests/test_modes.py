@@ -1,6 +1,6 @@
 """Box and sphere enumeration: lattice-shell examples, brute-force
-completeness, the sign fold against a signed scan, isometry and prefix
-invariants, and the Weyl leading order."""
+completeness, the sign fold against a signed scan, the merge rule on crafted
+near-ties, isometry and prefix invariants, and the Weyl leading order."""
 
 import math
 
@@ -22,7 +22,7 @@ from cavityrad import (
     spherical_bessel_zeros,
 )
 from cavityrad.geometry import CUT_MARGIN, disc_sums, lattice_axes
-from cavityrad.modes import MERGE_RTOL
+from cavityrad.modes import MERGE_RTOL, _merge_weighted
 
 BCS = list(BoundaryCondition)
 
@@ -175,10 +175,65 @@ def test_lattice_cap_counts_the_signed_bounding_box(bc):
     assert len(enumerate_box_modes(geom, bc, omega_max, max_lattice_points=required)) > 0
 
 
+ULP = 2.0**-52  # the spacing of the floats in [1, 2)
+# MERGE_RTOL * a in ulps, for a in [1, 2)
+GAP_ULPS = range(math.ceil(MERGE_RTOL / ULP), math.ceil(2 * MERGE_RTOL / ULP))
+
+
+def exact_tie():
+    """a < b in [1, 2) whose gap b - a equals MERGE_RTOL * a exactly."""
+    for n in GAP_ULPS:
+        q = round(n / MERGE_RTOL)
+        if 2**52 <= q < 2**53 and MERGE_RTOL * q == n:  # then rtol * (q ulps) is n ulps
+            return q * ULP, (q + n) * ULP
+
+
+def scale_disagreement():
+    """a < b in [1, 2) whose gap is over MERGE_RTOL * a but not over MERGE_RTOL * b."""
+    for n in GAP_ULPS:
+        q = int(n / MERGE_RTOL) - n // 2  # a gap of n ulps, between the two scales
+        a, b = q * ULP, (q + n) * ULP
+        if 2**52 <= q and MERGE_RTOL * a < b - a <= MERGE_RTOL * b:
+            return a, b
+
+
+TIE, SCALES = exact_tie(), scale_disagreement()
+CHAIN = (1.0, 1.0 + 0.9e-12, 1.0 + 1.8e-12)
+
+# case -> (omegas, weights, [(group omega, entries, summed weight)]): the gap
+# to the left neighbour is compared with MERGE_RTOL times that neighbour
+MERGE_CASES = {
+    "gap-under-rtol": ([1.0 + 0.5e-12, 1.0], [4, 2], [(1.0, 2, 6)]),
+    "gap-over-rtol": ([1.0, 1.0 + 2e-12], [2, 4], [(1.0, 1, 2), (1.0 + 2e-12, 1, 4)]),
+    "gap-equal-to-rtol": (list(TIE), [2, 4], [(TIE[0], 2, 6)]),
+    "chain-wider-than-rtol": ([CHAIN[2], CHAIN[0], CHAIN[1]], [6, 2, 4], [(1.0, 3, 12)]),
+    "left-scale-splits": (list(SCALES), [2, 4], [(SCALES[0], 1, 2), (SCALES[1], 1, 4)]),
+}
+
+
+def test_crafted_near_ties_sit_where_they_claim():
+    a, b = TIE
+    assert b - a == MERGE_RTOL * a
+    a, b = SCALES
+    assert MERGE_RTOL * a < b - a <= MERGE_RTOL * b
+    lo, mid, hi = CHAIN
+    assert mid - lo <= MERGE_RTOL * lo and hi - mid <= MERGE_RTOL * mid
+    assert hi - lo > MERGE_RTOL * lo
+
+
+@pytest.mark.parametrize("case", MERGE_CASES)
+def test_merge_rule_on_crafted_near_ties(case):
+    omegas, weights, groups = MERGE_CASES[case]
+    unweighted = _merge_weighted(np.array(omegas))
+    weighted = _merge_weighted(np.array(omegas), np.array(weights))
+    for (om, counts), column in ((unweighted, 1), (weighted, 2)):
+        assert om.tolist() == [group[0] for group in groups]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [group[column] for group in groups]
+
+
 def test_merge_scratch_is_about_one_sorted_copy():
     import tracemalloc
-
-    from cavityrad.modes import _merge_weighted
 
     omegas = np.random.default_rng(1).choice(np.linspace(1e13, 1e15, 1000), 10**6)
     tracemalloc.start()

@@ -751,6 +751,22 @@ def test_rod_sum_adds_no_peak_memory_to_the_table():
     assert peak(lambda: rod_density(omega, 300.0, rod, bc)) <= 1.05 * table
 
 
+@pytest.mark.parametrize("bc", BCS)
+@pytest.mark.parametrize("lengths", [(1e-3, 1e-3), (3e-4, 2e-4)])  # square and 3:2
+def test_rod_table_is_the_sorted_signed_scan_bit_for_bit(lengths, bc):
+    from cavityrad.geometry import CUT_MARGIN
+    from cavityrad.slab_rod import _rod_axes, _transverse_k2
+
+    rod, k_cap = RodGeometry(*lengths), 1e15 / C_LIGHT
+    # k1^2 + k2^2 over every signed label pair of the rod's rectangle, one cut
+    (k1, _), (k2, _) = _rod_axes(rod, bc, k_cap)
+    s = (k1**2)[:, None] + (k2**2)[None, :]
+    expected = np.sort(s[s <= k_cap * k_cap * CUT_MARGIN])
+    table = _transverse_k2(rod, bc, k_cap)
+    assert table.size > 10**4 and table.dtype == expected.dtype
+    assert table.tobytes() == expected.tobytes()
+
+
 def held_bytes(*steps):
     """Bytes still allocated after each step, all steps traced in one tracemalloc run."""
     import tracemalloc

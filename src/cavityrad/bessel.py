@@ -29,18 +29,18 @@ import numpy as np
 
 from .errors import BesselZeroError, ResourceLimitError
 from .geometry import _Record
-from .validate import finite_real
+from .validate import finite_array, finite_real, nonnegative_int
 
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
            "BesselZeroTable", "MAX_BESSEL_ZEROS", "MAX_RECURRENCE_STEPS"]
 
 #: cap on the candidate zeros of one table, counted in floats before any
-#: array exists; more raises ResourceLimitError. Twice the default estimate
-#: cap of enumerate_sphere_modes, so a sphere meets its own cap first. A
-#: table's tracemalloc peak is 52-104 B per counted candidate (max_order 1
-#: and 5 at x_max = 1e6, the full table at x_max = 1,500), so a call at the
-#: cap needs ~10-21 GB.
-MAX_BESSEL_ZEROS = 2 * 10**8
+#: array exists; more raises ResourceLimitError. At the cap's edge a
+#: spherical_bessel_zeros call with max_order 0 / 1 / 5 / 20 / 60 peaks at
+#: 191 / 530 / 864 / 983 / 1,014 MB RSS in 0.3-7.2 s on a 2-vCPU Xeon VM.
+#: A full table meets it from x_max ~ 8,930, past the sweep cap's edge and
+#: below the sphere estimate cap of enumerate_sphere_modes (x_max ~ 28,280).
+MAX_BESSEL_ZEROS = 10**7
 
 #: cap on the steps of one downward recurrence in spherical_jl, which starts
 #: above max(l, x); more raises ResourceLimitError. On a 2-vCPU Xeon VM j_3
@@ -55,6 +55,8 @@ MAX_RECURRENCE_STEPS = 2 * 10**6
 MAX_SWEEP_STEPS = 10**9
 
 _RESCALE = 1e250
+
+_L_MESSAGE = "l must be a nonnegative integer"
 
 #: below this x, j_l for l >= 2 is the small-argument series: the recurrence
 #: multiplies by (2n+1)/x at each step and overflows below about x = 1e-55
@@ -89,13 +91,6 @@ def _j1(x):
     return np.where(small, series, closed)
 
 
-def _order(l, name="l"):
-    """l as an int; ValueError unless it is a nonnegative integer."""
-    if not isinstance(l, (int, np.integer)) or isinstance(l, bool) or l < 0:
-        raise ValueError(name + " must be a nonnegative integer")
-    return int(l)
-
-
 def spherical_jl(l, x):
     """Spherical Bessel function j_l(x) for x >= 0, vectorized over x.
 
@@ -107,10 +102,8 @@ def spherical_jl(l, x):
     Below x = 1e-8 the small-argument series x^l/(2l+1)!! is used instead,
     with no recurrence and so no step cap.
     """
-    l = _order(l)
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite and >= 0")
+    l = nonnegative_int(l, _L_MESSAGE)
+    x = finite_array(x, "x must be finite and >= 0")
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
     if l == 0:
@@ -277,7 +270,7 @@ class BesselZeroTable(_Record):
         return len(self.zeros_by_l) - 1
 
     def zeros(self, l):
-        if _order(l) > self.max_order:
+        if nonnegative_int(l, _L_MESSAGE) > self.max_order:
             raise ValueError("l must be at most max_order = %d" % self.max_order)
         return self.zeros_by_l[l]
 
@@ -341,7 +334,7 @@ def build_bessel_zero_table(x_max, max_order=None):
     x_max = finite_real(x_max, "x_max must be finite and > 0")
     top = int(x_max + _GUESS_MARGIN) + 1       # j_l has no zero below l + 1/2
     if max_order is not None:
-        top = min(top, _order(max_order, "max_order"))
+        top = min(top, nonnegative_int(max_order, "max_order must be a nonnegative integer"))
     if x_max < math.pi:
         return BesselZeroTable(x_max, (np.empty(0),))
     # each level holds at most limit/pi guesses, all levels ~limit^2/8 (the
@@ -389,8 +382,8 @@ def spherical_bessel_zeros(l, x_max):
     level l - 1; the empty array is a valid result when j_l has no zero
     below x_max.
     """
-    l = _order(l)
-    table = build_bessel_zero_table(float(x_max), max_order=l)
+    l = nonnegative_int(l, _L_MESSAGE)
+    table = build_bessel_zero_table(x_max, max_order=l)
     if l > table.max_order:
         return np.empty(0)
     return table.zeros(l)

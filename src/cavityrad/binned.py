@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConvolutionExactnessError
 from .geometry import (BLOCK, BoundaryCondition, _Record, _bin_layout, _cube_unit, _kept_table,
                        _norm_bound, axis_wavenumbers, disc_sums, fold_signs, quantization)
-from .planck import mean_oscillator_energy
+from .planck import _T_MESSAGE, mean_oscillator_energy
 from .validate import finite_density, finite_real
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density"]
@@ -245,15 +245,15 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     """
     side = finite_real(side, "side must be finite and > 0")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
+    T = finite_real(T, _T_MESSAGE)
     unit = _cube_unit(side, bc)
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
     layout = _bin_layout(omega_max, delta_omega, volume)
     r3 = _kept_table("cube", (bc, m_max), m_max, lambda m: _cube_counts(bc, m))
-    # binned a block of norms at a time, in norm order; the loop runs at least
-    # once, so T is checked even when no norm lies below the cutoff
+    # binned a block of norms at a time, in norm order
     energy_sums = np.zeros(layout[0])
-    for lo in range(1, max(m_max, 1) + 1, BLOCK):  # periodic zero mode excluded
+    for lo in range(1, m_max + 1, BLOCK):  # periodic zero mode excluded
         block = r3[lo:lo + BLOCK]
         m = np.flatnonzero(block)
         om = unit * np.sqrt((m + lo).astype(float))

@@ -9,7 +9,7 @@ from enum import Enum
 # it loads numpy, so the functions that need numpy import it themselves
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
-from .validate import finite_real
+from .validate import finite_real, instance_of
 
 __all__ = [
     "BoundaryCondition",
@@ -48,9 +48,7 @@ _RULES = {
 
 def quantization(bc):
     """(period, offset, two_sided) of the rule k_n = period*(n + offset)/L."""
-    if not isinstance(bc, BoundaryCondition):
-        raise TypeError("bc must be a BoundaryCondition")
-    return _RULES[bc]
+    return _RULES[instance_of(bc, BoundaryCondition, "bc")]
 
 
 def label_count(m, bc):
@@ -111,6 +109,7 @@ def lattice_axes(lengths, bc, k_cap, cap, what):
 
 def _box_bounds(geom, bc, omega_max, cap=DEFAULT_LATTICE_CAP):
     """_lattice_bounds of a box's lattice points with omega = c*|k| <= omega_max."""
+    instance_of(geom, BoxGeometry, "geom")
     return _lattice_bounds(geom._astuple(), bc, omega_max / C_LIGHT, cap, "lattice points")
 
 

@@ -22,7 +22,7 @@ from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition
                        SphereGeometry, _Record, _box_bounds, _sphere_x_max, axis_wavenumbers,
                        disc_sums, fold_signs)
 from .planck import mean_oscillator_energy
-from .validate import finite_real
+from .validate import finite_real, instance_of
 
 __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes", "MERGE_RTOL"]
 
@@ -112,6 +112,7 @@ def enumerate_sphere_modes(geom: SphereGeometry, omega_max):
     harmonic degeneracy times the global polarization factor. An estimate of
     DEFAULT_LATTICE_CAP zeros or more raises ResourceLimitError.
     """
+    instance_of(geom, SphereGeometry, "geom")
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
     radius = geom.radius
     x_max = _sphere_x_max(geom, omega_max)

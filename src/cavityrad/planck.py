@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import C_LIGHT, HBAR, K_B
 from .geometry import GeometryDescriptors
-from .validate import finite_density, finite_real
+from .validate import finite_array, finite_density, finite_real, instance_of
 
 __all__ = [
     "mean_oscillator_energy",
@@ -54,17 +54,12 @@ _DEBYE_COEFFS = tuple(
 # 1e-17 relative and the tail needs ~35 terms
 _SERIES_X_MAX = 2.0
 
+# the message of every temperature refusal, binned's cube included
+_T_MESSAGE = "temperature must be > 0 and finite"
+
 
 def _validate(omega, T):
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)):
-        raise ValueError("omega must be finite")
-    if np.any(omega < 0.0):
-        raise ValueError("omega must be >= 0")
-    T = finite_real(T, "temperature must be a finite number", lower=-math.inf)
-    if T <= 0.0:
-        raise ValueError("temperature must be > 0")
-    return omega, T
+    return finite_array(omega, "omega must be finite and >= 0"), finite_real(T, _T_MESSAGE)
 
 
 def mean_oscillator_energy(omega, T):
@@ -103,6 +98,7 @@ def weyl_density(omega, T, desc: GeometryDescriptors):
     density is 0.0, however large omega**2 is. A density beyond the float
     range raises ValueError. Computed in float64 for any dtype of omega.
     """
+    instance_of(desc, GeometryDescriptors, "desc")
     omega, T = _validate(omega, T)
     energy = mean_oscillator_energy(omega, T)
     omega = np.where(energy > 0.0, omega, 0.0)  # there omega**2 may be inf, and inf * 0 nan
@@ -123,7 +119,7 @@ def planck_density(omega, T):
 
 def planck_total_energy_density(T):
     """Closed-form total energy density a*T^4 in J/m^3; ValueError past the float range."""
-    _, T = _validate(0.0, T)
+    T = finite_real(T, _T_MESSAGE)
     try:
         return radiation_constant * T**4
     except OverflowError:  # T**4 overflows from ~1.16e77 K, a*T^4 only from ~2.2e80 K
@@ -162,13 +158,13 @@ def planck_energy_fraction_below(omega_max, T):
     integral(t^3/(e^t - 1), x, inf). Either agrees with an independent
     quadrature to about 1e-15 relative. The fraction is 0.0 at omega_max = 0,
     and 1.0 where x is infinite (k_B*T underflows) or e^{-x} underflows.
+    omega_max is a scalar, as T is.
     """
-    omega_max, T = _validate(omega_max, T)
-    if omega_max.ndim != 0:
-        raise ValueError("omega_max must be scalar")
+    omega_max = finite_real(omega_max, "omega_max must be finite and >= 0", inclusive=True)
+    T = finite_real(T, _T_MESSAGE)
     if omega_max == 0.0:  # where k_B*T may underflow to 0 as well
         return 0.0
-    x_max = HBAR * float(omega_max) / (K_B * T) if K_B * T > 0.0 else math.inf
+    x_max = HBAR * omega_max / (K_B * T) if K_B * T > 0.0 else math.inf
     if x_max <= _SERIES_X_MAX:
         return _series_integral(x_max) / _TOTAL_X3
     # where e^{-x} underflows the tail is 0, and x_max**3 in it may overflow
@@ -181,7 +177,7 @@ def planck_peak_frequency(T):
     The peak solves 3*(1 - e^{-x}) = x in x = hbar*omega/(k_B T). A peak
     beyond the float range raises ValueError.
     """
-    _, T = _validate(0.0, T)
+    T = finite_real(T, _T_MESSAGE)
     x = 2.8214393721220787  # the root in double precision: a Newton step from it is -0.0
     return finite_real(x * K_B * T / HBAR, "the peak frequency exceeds the float range",
                        inclusive=True)

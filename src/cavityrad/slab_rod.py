@@ -24,7 +24,7 @@ from .errors import ResourceLimitError, ThresholdSingularityError
 from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
                        _kept_table, disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
-from .validate import finite_density, finite_real
+from .validate import finite_array, finite_density, finite_real, instance_of
 
 __all__ = [
     "film_mode_count",
@@ -62,10 +62,9 @@ def film_mode_count(omega, geom: FilmGeometry, bc: BoundaryCondition):
     A count of 2**63 or more, which an int64 cannot hold, raises
     ResourceLimitError.
     """
+    instance_of(geom, FilmGeometry, "geom")
     period, offset, _ = quantization(bc)
-    omega = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(omega)) or np.any(omega < 0):
-        raise ValueError("omega must be finite and >= 0")
+    omega = finite_array(omega, "omega must be finite and >= 0")
     with np.errstate(over="ignore"):  # an overflowed count is inf and refused below
         n = label_count(np.floor(omega * geom.L1 / (C_LIGHT * period) + offset), bc)
     if not np.all(n < 2.0**63):  # the int64 cast would wrap
@@ -87,6 +86,7 @@ def film_density(omega, T, geom: FilmGeometry, bc: BoundaryCondition):
 
 def _rod_axes(geom, bc, k_cap):
     """The two transverse axes covering k_perp <= k_cap, within MAX_ROD_TABLE."""
+    instance_of(geom, RodGeometry, "geom")
     return lattice_axes((geom.L1, geom.L2), bc, k_cap, MAX_ROD_TABLE, "transverse modes")
 
 
@@ -142,6 +142,7 @@ def rod_density(omega, T, geom: RodGeometry, bc: BoundaryCondition,
         If the density exceeds the float range, or if (omega/c)^2 does while
         the mean oscillator energy is positive.
     """
+    instance_of(geom, RodGeometry, "geom")  # a kept table or a _rod_sum hit reads no axes
     omega = finite_real(omega, "omega must be finite and >= 0", inclusive=True)
     message = "threshold_guard must be finite, >= 0 and < 1"
     guard = finite_real(threshold_guard, message, inclusive=True)
@@ -262,6 +263,7 @@ def rod_window_average(omega, T, geom: RodGeometry, bc: BoundaryCondition):
     above the first threshold. An average beyond the float range raises
     ValueError.
     """
+    instance_of(geom, RodGeometry, "geom")
     omega = finite_real(omega, "omega must be finite and > 0")
     step = C_LIGHT * quantization(bc)[0] / max(geom.L1, geom.L2)
     s = _transverse_k2(geom, bc, (omega + step) * (1.0 + 1e-9) / C_LIGHT)

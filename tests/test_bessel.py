@@ -18,6 +18,7 @@ from cavityrad import (
     spherical_bessel_zeros,
     spherical_jl,
 )
+from cavityrad.bessel import MAX_BESSEL_ZEROS
 
 # frozen root of x*cos(x) = sin(x), cross-checked by the bisection oracle below
 FIRST_J1_ZERO = 4.493409457909064
@@ -340,6 +341,12 @@ def test_zero_tables_over_cap_refused_before_allocation():
             spherical_bessel_zeros(0, 1e13)
         with pytest.raises(ResourceLimitError, match="Bessel zeros"):
             build_bessel_zero_table(1e7)
+        # 3.2e7 and 6.4e7 candidates, under the former cap of 2e8: j_1 to 1e8
+        # took 23 s and 3.46 GB there
+        for l in (0, 1):
+            with pytest.raises(ResourceLimitError, match="Bessel zeros") as err:
+                spherical_bessel_zeros(l, 1e8)
+            assert MAX_BESSEL_ZEROS < err.value.required < 2 * 10**8
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -356,11 +363,15 @@ def test_zero_tables_past_the_sweep_cap_refused_before_allocation():
     # its table would take ~120 s and ~0.8 GB; the sweep cap is near 3,040
     tracemalloc.start()
     try:
-        for x_max in (3050.0, 8000.0, 28000.0):
+        for x_max in (3050.0, 8000.0):
             with pytest.raises(ResourceLimitError, match="recurrence steps per sweep") as err:
                 build_bessel_zero_table(x_max)
             # the sum of l over the candidates, ~x_max^3/(9 pi)
             assert MAX_SWEEP_STEPS < err.value.required < 1.05 * x_max**3 / (9.0 * math.pi)
+        # from x_max ~ 8,930 a full table meets the zero cap first: ~x_max^2/8 candidates
+        with pytest.raises(ResourceLimitError, match="Bessel zeros") as err:
+            build_bessel_zero_table(28000.0)
+        assert MAX_BESSEL_ZEROS < err.value.required < 1.01 * 28000.0**2 / 8.0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -6,8 +6,6 @@ the three-term Weyl asymptotic expansion as references.
 """
 
 import importlib
-import os
-import sys
 
 __version__ = "0.1.0"
 
@@ -31,37 +29,16 @@ _MODULE_OF = {name: module for module, names in {
 __all__ = list(_MODULE_OF)
 
 
-def _load_numpy():
-    """numpy; if it is not loaded yet and OPENBLAS_NUM_THREADS is unset, it is
-    loaded with one OpenBLAS thread and the environment is left as it was.
-
-    cavityrad makes no BLAS call, but numpy's OpenBLAS starts a worker thread
-    at load that busy-waits for ~0.1 s of CPU. OpenBLAS reads the variable
-    once, at load."""
-    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            import numpy  # noqa: F401
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-    import numpy
-    return numpy
-
-
 def __getattr__(name):
-    """A public name, imported from its module on first use (PEP 562), numpy first."""
+    """A public name (PEP 562). The first one asked for binds every name of
+    _MODULE_OF, in its order, so the modules always load in that one order."""
     if name not in _MODULE_OF:
         raise AttributeError("module %r has no attribute %r" % (__name__, name))
-    _load_numpy()
-    value = globals()[name] = getattr(importlib.import_module("." + _MODULE_OF[name],
-                                                              __name__), name)
-    return value
+    for public, module in _MODULE_OF.items():
+        globals()[public] = getattr(importlib.import_module("." + module, __name__), public)
+    return globals()[name]
 
 
-# While `python -m cavityrad` locates the package, sys.argv[0] is "-m": the
-# CLI then loads numpy and the compute modules only once it accepts a request.
-# Every other import resolves every name now.
-if sys.argv[:1] != ["-m"]:
-    for _name in __all__:
-        __getattr__(_name)
-    del _name
+def __dir__():
+    """The module's names and every public name, bound or not yet."""
+    return sorted(set(globals()) | set(__all__))

@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .errors import ConvolutionExactnessError
 from .geometry import (BLOCK, BoundaryCondition, _Record, _bin_layout, _cube_unit, _kept_table,
-                       _norm_bound, axis_wavenumbers, disc_sums, fold_signs, quantization)
+                       _load_numpy, _norm_bound, axis_wavenumbers, disc_sums, fold_signs,
+                       quantization)
 from .planck import _T_MESSAGE, mean_oscillator_energy
-from .validate import finite_density, finite_real
+from .validate import finite_density, finite_real, instance_of
+
+np = _load_numpy()
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density"]
 
@@ -50,13 +51,14 @@ def _bin_into(energy_sums, omegas, multiplicities, T, delta_omega):
 
 def _spectrum(energy_sums, delta_omega, volume, layout):
     n_bins, partial = layout
+    delta_omega, volume = float(delta_omega), float(volume)  # no float32 product
     with np.errstate(over="ignore"):  # refused by finite_density
         u = finite_density(energy_sums / (volume * delta_omega))
     return BinnedSpectrum(
-        delta_omega=float(delta_omega),
-        omega_left=np.arange(n_bins) * float(delta_omega),
+        delta_omega=delta_omega,
+        omega_left=np.arange(n_bins) * delta_omega,
         u=u,
-        volume=float(volume),
+        volume=volume,
         last_bin_partial=partial,
     )
 
@@ -65,6 +67,8 @@ def binned_density(modes, T, delta_omega, volume):
     """Binned spectral density of a ModeList, J s/(rad m^3) per bin.
 
     A density beyond the float range raises ValueError."""
+    from .modes import ModeList  # not at module level: a cube spectrum loads no modes
+    instance_of(modes, ModeList, "modes")
     layout = _bin_layout(modes.omega_max, delta_omega, volume)
     energy_sums = np.zeros(layout[0])
     _bin_into(energy_sums, modes.omegas, modes.multiplicities, T, delta_omega)

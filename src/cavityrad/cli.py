@@ -19,13 +19,12 @@ import argparse
 import sys
 from types import SimpleNamespace
 
-# numpy and the compute modules are imported by the functions that use them,
-# once a request is accepted: a refusal costs argparse and arithmetic only
-from . import _load_numpy
+# the compute modules, and numpy with them, are imported by the functions that use
+# them, once a request is accepted: a refusal costs argparse and arithmetic only
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry, RodGeometry,
-                       SphereGeometry, _bin_layout, _box_bounds, _cube_unit, _norm_bound,
-                       _sphere_x_max, descriptors_for)
+                       SphereGeometry, _bin_layout, _box_bounds, _cube_unit, _load_numpy,
+                       _norm_bound, _sphere_x_max, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .validate import finite_real
 
@@ -155,7 +154,6 @@ def _mode_list(cfg):
         _sphere_x_max(cfg.geom, cfg.omega_max)
     else:
         _box_bounds(cfg.geom, cfg.bc, cfg.omega_max)
-    _load_numpy()
     from .modes import enumerate_box_modes, enumerate_sphere_modes
     if cfg.geometry == "sphere":
         return enumerate_sphere_modes(cfg.geom, cfg.omega_max)
@@ -201,7 +199,6 @@ def compute(cfg):
         if cfg.geometry == "box" and geom.L1 == geom.L2 == geom.L3:
             # a cube's frequencies are sqrt(integer norms): no lattice scan needed
             _norm_bound(cfg.omega_max, _cube_unit(geom.L1, cfg.bc))
-            _load_numpy()
             from .binned import cube_binned_density
             spec = cube_binned_density(geom.L1, cfg.bc, cfg.temperature, cfg.delta_omega,
                                        cfg.omega_max)
@@ -288,7 +285,6 @@ def run_modes(ns):
 def run_figures(ns):
     if ns.figure not in (1, 2, 3, 4):
         raise UsageError("figure id must be 1, 2, 3 or 4")
-    _load_numpy()
     from .figures import generate_figure
     written = generate_figure(ns.figure, ns.output_dir)
     for path in written:

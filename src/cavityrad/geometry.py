@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import os
+import sys
 from enum import Enum
 
 # no module-level numpy: the CLI checks a request on these classes and caps before
-# it loads numpy, so the functions that need numpy import it themselves
+# it loads numpy, so the functions that need numpy load it themselves
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
 from .validate import finite_real, instance_of
@@ -27,6 +29,23 @@ __all__ = [
     "GeometryDescriptors",
     "descriptors_for",
 ]
+
+
+def _load_numpy():
+    """numpy; if it is not loaded yet and OPENBLAS_NUM_THREADS is unset, it is
+    loaded with one OpenBLAS thread and the environment is left as it was.
+
+    cavityrad makes no BLAS call, but numpy's OpenBLAS starts a worker thread
+    at load that busy-waits for ~0.1 s of CPU. OpenBLAS reads the variable
+    once, at load. Every cavityrad module that uses numpy takes it from here."""
+    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy  # noqa: F401
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    import numpy
+    return numpy
 
 
 class BoundaryCondition(Enum):
@@ -148,9 +167,9 @@ def _norm_bound(omega_max, unit):
 
 def _bin_layout(omega_max, delta_omega, volume):
     """Checked bin count and partial flag, before any mode or bin array exists."""
-    if not (delta_omega > 0 and volume > 0):
-        raise ValueError("delta_omega and volume must be > 0, got delta_omega=%r, "
-                         "volume=%r" % (delta_omega, volume))
+    message = ("delta_omega and volume must be > 0, got delta_omega=%r, volume=%r"
+               % (delta_omega, volume))
+    delta_omega, volume = finite_real(delta_omega, message), finite_real(volume, message)
     q = omega_max / delta_omega
     if not q <= MAX_BINS:
         raise ResourceLimitError(math.ceil(q) if math.isfinite(q) else q, MAX_BINS,
@@ -166,7 +185,7 @@ def _bin_layout(omega_max, delta_omega, volume):
 
 def axis_wavenumbers(L, bc, m):
     """Wavenumbers and their integer labels n on one axis with label bound m."""
-    import numpy as np
+    np = _load_numpy()
     period, offset, two_sided = quantization(bc)
     m = int(m)
     n = np.arange(label_count(m, bc)) + (-m if two_sided else 1)  # from the first label
@@ -181,7 +200,7 @@ def fold_signs(axes):
     folded axes weighted by the count products is the signed scan's multiset.
     Axes with no negative value (Dirichlet) come back unchanged, with None.
     """
-    import numpy as np
+    np = _load_numpy()
     if not any((a < 0).any() for a in axes):
         return axes, None
     folded = [np.unique(np.abs(a), return_counts=True) for a in axes]
@@ -198,7 +217,7 @@ def disc_sums(axes, cap, weights=None):
     With one weight array per axis, the products of the weights go through
     the same cuts and (sums, weights) is returned.
     """
-    import numpy as np
+    np = _load_numpy()
 
     def cut(s, w):
         keep = s <= cap

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import C_LIGHT
 from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition, BoxGeometry,
-                       SphereGeometry, _Record, _box_bounds, _sphere_x_max, axis_wavenumbers,
-                       disc_sums, fold_signs)
+                       SphereGeometry, _Record, _box_bounds, _load_numpy, _sphere_x_max,
+                       axis_wavenumbers, disc_sums, fold_signs)
 from .planck import mean_oscillator_energy
-from .validate import finite_real, instance_of
+from .validate import finite_real, instance_of, nonnegative_int
+
+np = _load_numpy()
 
 __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes", "MERGE_RTOL"]
 
@@ -87,11 +87,12 @@ def enumerate_box_modes(geom: BoxGeometry, bc: BoundaryCondition, omega_max,
     multiplicities, then every multiplicity is doubled for polarization.
     The periodic (0,0,0) zero mode is excluded. Periodic and antiperiodic
     scans visit one sign of each component (fold_signs). A cutoff implying more
-    points of the full signed bounding lattice than max_lattice_points
-    raises ResourceLimitError naming that count.
+    points of the full signed bounding lattice than max_lattice_points, an
+    integer >= 0, raises ResourceLimitError naming that count.
     """
     omega_max = finite_real(omega_max, "omega_max must be finite and > 0")
-    bounds = _box_bounds(geom, bc, omega_max, max_lattice_points)
+    cap = nonnegative_int(max_lattice_points, "max_lattice_points must be a nonnegative integer")
+    bounds = _box_bounds(geom, bc, omega_max, cap)
     ks, weights = fold_signs([axis_wavenumbers(L, bc, m)[0]
                               for L, m in zip(geom._astuple(), bounds)])
     k_max = omega_max / C_LIGHT

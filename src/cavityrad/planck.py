@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from .constants import C_LIGHT, HBAR, K_B
-from .geometry import GeometryDescriptors
+from .geometry import GeometryDescriptors, _load_numpy
 from .validate import finite_array, finite_density, finite_real, instance_of
+
+np = _load_numpy()
 
 __all__ = [
     "mean_oscillator_energy",

@@ -628,7 +628,8 @@ def test_sphere_volume_past_the_float_range_is_inf_and_refused_downstream():
     # radius**3 overflows, as the box's L1*L2*L3 does; both volumes read inf
     assert SphereGeometry(1e200).volume == math.inf == BoxGeometry(1e200, 1e200, 1e200).volume
     modes = ModeList(np.array([1e14]), np.array([2]), 1e15)
-    with pytest.raises(ValueError, match="must be a positive finite product"):
+    with pytest.raises(ValueError, match="^delta_omega and volume must be > 0, got "
+                                         "delta_omega=10000000000000.0, volume=inf$"):
         binned_density(modes, 300.0, 1e13, SphereGeometry(1e200).volume)
     for diameter in (1e200, 1e300):  # r**3 overflows; at 1e300 r**2 too
         with pytest.raises(ValueError, match="^V must be a positive finite volume$"):

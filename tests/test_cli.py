@@ -565,24 +565,80 @@ def test_python_m_loads_openblas_with_one_thread_and_keeps_the_environment(args,
 
 @needs_task_list
 def test_name_resolved_on_first_use_loads_openblas_with_one_thread():
-    # a package imported while `python -m` locates a module (sys.argv[0] == "-m") resolves
-    # its names on first use; the first one loads numpy
-    got = after_import("sys; sys.argv[0] = '-m'; import cavityrad; cavityrad.film_density")
+    # `import cavityrad` loads no numpy; the first public name loads it
+    got = after_import("cavityrad; cavityrad.film_density")
     assert got == {"threads": 1, "environ_kept": True, "scipy": False}
 
 
 @needs_task_list
 def test_import_loads_openblas_with_one_thread_and_keeps_the_environment():
-    assert after_import("cavityrad") == {"threads": 1, "environ_kept": True, "scipy": False}
+    # a numpy-free name is a first use too: it binds every name, numpy's modules included
+    got = after_import("cavityrad; from cavityrad import HBAR")
+    assert got == {"threads": 1, "environ_kept": True, "scipy": False}
 
 
 @needs_task_list
-@pytest.mark.parametrize("modules, openblas_threads", [("cavityrad", "2"),
-                                                       ("numpy, cavityrad", None)])
+def test_a_module_imported_directly_loads_openblas_with_one_thread():
+    got = after_import("cavityrad.slab_rod")
+    assert got == {"threads": 1, "environ_kept": True, "scipy": False}
+
+
+@needs_task_list
+@pytest.mark.parametrize("modules, openblas_threads", [
+    ("cavityrad; cavityrad.film_density", "2"),
+    ("numpy, cavityrad", None),
+], ids=["cavityrad-2", "numpy, cavityrad-None"])
 def test_preset_openblas_threads_or_numpy_loaded_first_is_left_alone(modules,
                                                                      openblas_threads):
     bare = after_import("numpy", openblas_threads)["threads"]
     assert after_import(modules, openblas_threads)["threads"] == bare
+
+
+def loaded_after(script):
+    """A fresh interpreter's record after running script with OPENBLAS_NUM_THREADS
+    unset: whether numpy is loaded, the cavityrad submodules loaded, the public
+    names cavityrad has bound, in the order it bound them, its OS threads, and
+    the value script left in `result`, if any."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    script += (
+        "\nimport json, os, sys\n"
+        "import cavityrad\n"
+        "print(json.dumps({'numpy': 'numpy' in sys.modules,\n"
+        "                  'modules': [m for m in sys.modules if m.startswith('cavityrad.')],\n"
+        "                  'bound': [n for n in vars(cavityrad) if n in cavityrad.__all__],\n"
+        "                  'threads': len(os.listdir('/proc/self/task')),\n"
+        "                  'result': globals().get('result')}))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+    return json.loads(r.stdout.splitlines()[-1])
+
+
+@needs_task_list
+def test_import_loads_no_numpy_and_no_submodule():
+    got = loaded_after("import cavityrad\n"
+                       "result = sorted(set(cavityrad.__all__) - set(dir(cavityrad)))")
+    assert got == {"numpy": False, "modules": [], "bound": [], "threads": 1, "result": []}
+
+
+@needs_task_list
+def test_first_public_name_binds_every_name_in_module_order():
+    import cavityrad
+
+    got = loaded_after("import cavityrad\nresult = cavityrad.rod_density.__module__")
+    assert got["result"] == "cavityrad.slab_rod" and got["numpy"] and got["threads"] == 1
+    # bound in _MODULE_OF order, which __all__ keeps
+    assert got["bound"] == cavityrad.__all__
+    assert set(got["modules"]) == {"cavityrad." + m for m in cavityrad._MODULE_OF.values()} | {
+        "cavityrad.validate"}
+
+
+@needs_task_list
+def test_cli_main_refuses_before_numpy_loads():
+    got = loaded_after("from cavityrad.cli import main\n"
+                       "result = main(['spectrum', '--geometry', 'cone', '--bc', 'dirichlet'])")
+    assert (got["result"], got["numpy"]) == (2, False)
+    assert "cavityrad.planck" not in got["modules"]
 
 
 # one input per refusal of _build_config, plus the modes refusal of a film and a rod

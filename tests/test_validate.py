@@ -12,8 +12,10 @@ from cavityrad import (
     BoxGeometry,
     FilmGeometry,
     GeometryDescriptors,
+    ModeList,
     RodGeometry,
     SphereGeometry,
+    binned_density,
     build_bessel_zero_table,
     cube_binned_density,
     descriptors_for,
@@ -39,6 +41,7 @@ FILM = FilmGeometry(1e-5)
 ROD = RodGeometry(1e-5, 2e-5)
 BOX = BoxGeometry(1e-5, 2e-5, 3e-5)
 DESC = descriptors_for(BOX)
+MODES = enumerate_box_modes(BOX, P, 1e15)
 F32 = np.float32
 
 # name -> (call taking one scalar, a numpy scalar to pass it)
@@ -66,6 +69,12 @@ ENTRY_POINTS = {
                                  F32(1e-5)),
     "cube_binned_density.omega_max": (lambda v: cube_binned_density(1e-5, P, 300.0, 1e13, v).u,
                                       np.int64(10**15)),
+    "cube_binned_density.delta_omega": (lambda v: cube_binned_density(1e-5, P, 300.0, v, 1e15).u,
+                                        np.int64(10**13)),
+    "binned_density.delta_omega": (lambda v: binned_density(MODES, 300.0, v, BOX.volume).u,
+                                   F32(1e13)),
+    "binned_density.volume": (lambda v: binned_density(MODES, 300.0, 1e13, v).u,
+                              F32(BOX.volume)),
     "build_bessel_zero_table.x_max": (lambda v: np.concatenate(
         build_bessel_zero_table(v).zeros_by_l), np.int64(20)),
     "spherical_bessel_zeros.x_max": (lambda v: spherical_bessel_zeros(2, v), np.int64(20)),
@@ -129,9 +138,9 @@ def test_int_and_float_arrays_accepted_bool_arrays_refused(name):
             call(bad)
 
 
-# every record-taking public function but binned_density (its ModeList is
-# duck-typed), called with a record; the record class it takes
+# every record-taking public function, called with a record; the record class it takes
 RECORD_ENTRY_POINTS = {
+    "binned_density": (ModeList, lambda m: binned_density(m, 300.0, 1e13, BOX.volume)),
     "film_mode_count": (FilmGeometry, lambda g: film_mode_count(5e14, g, P)),
     "film_density": (FilmGeometry, lambda g: film_density(5e14, 300.0, g, P)),
     "rod_transverse_modes": (RodGeometry, lambda g: rod_transverse_modes(5e14, g, P)),
@@ -142,7 +151,7 @@ RECORD_ENTRY_POINTS = {
     "enumerate_sphere_modes": (SphereGeometry, lambda g: enumerate_sphere_modes(g, 1e15)),
     "weyl_density": (GeometryDescriptors, lambda d: weyl_density(1e14, 300.0, d)),
 }
-RECORDS = (FILM, ROD, BOX, SphereGeometry(1e-5), DESC)
+RECORDS = (FILM, ROD, BOX, SphereGeometry(1e-5), DESC, MODES)
 
 
 @pytest.mark.parametrize("name", sorted(RECORD_ENTRY_POINTS))
@@ -154,23 +163,27 @@ def test_records_of_another_class_refused(name):
             continue
         # a rod read as a box's first two sides, or a box as a rod, was a
         # silently wrong answer
-        with pytest.raises(TypeError, match="^(geom|desc) must be a %s$" % cls.__name__):
+        with pytest.raises(TypeError, match="^(geom|desc|modes) must be a %s$" % cls.__name__):
             call(record)
 
 
-# integer orders: numpy integers are the same order, bool is not an order
-INTEGER_ORDERS = {
-    "spherical_jl.l": lambda l: spherical_jl(l, 1.0),
-    "spherical_bessel_zeros.l": lambda l: spherical_bessel_zeros(l, 10.0),
+# integer arguments, Bessel orders and a cap: numpy integers are the same
+# integer, bool is not an integer; (call, an integer to pass it)
+INTEGER_ARGUMENTS = {
+    "spherical_jl.l": (lambda l: spherical_jl(l, 1.0), 1),
+    "spherical_bessel_zeros.l": (lambda l: spherical_bessel_zeros(l, 10.0), 1),
+    "enumerate_box_modes.max_lattice_points": (
+        lambda cap: enumerate_box_modes(BOX, P, 1e14, max_lattice_points=cap).omegas, 245),
 }
 
 
-@pytest.mark.parametrize("name", sorted(INTEGER_ORDERS))
-def test_integer_order_numpy_accepted_bool_refused(name):
-    call = INTEGER_ORDERS[name]
-    np.testing.assert_array_equal(call(np.int64(1)), call(1))
-    for bad in (True, False, np.True_, 1.0):
-        with pytest.raises(ValueError, match="l must be a nonnegative integer"):
+@pytest.mark.parametrize("name", sorted(INTEGER_ARGUMENTS))
+def test_integer_arguments_numpy_accepted_bool_refused(name):
+    call, value = INTEGER_ARGUMENTS[name]
+    np.testing.assert_array_equal(call(np.int64(value)), call(value))
+    for bad in (True, False, np.True_, 1.0, -5, "1e8", float("nan")):
+        with pytest.raises(ValueError, match="^%s must be a nonnegative integer$"
+                                             % name.split(".")[1]):
             call(bad)
 
 

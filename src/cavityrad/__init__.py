@@ -6,6 +6,8 @@ the three-term Weyl asymptotic expansion as references.
 """
 
 import importlib
+import os
+import sys
 
 __version__ = "0.1.0"
 
@@ -42,3 +44,39 @@ def __getattr__(name):
 def __dir__():
     """The module's names and every public name, bound or not yet."""
     return sorted(set(globals()) | set(__all__))
+
+
+class _OneOpenBLASThread:
+    """Import hook (PEP 451) for numpy, when it is first imported after cavityrad.
+
+    Whoever imports numpy next, a cavityrad module or the caller, gets it
+    loaded by numpy's own loader with OPENBLAS_NUM_THREADS=1 if that is
+    unset, and the environment is left as it was. cavityrad makes no BLAS
+    call, but OpenBLAS starts a worker per extra core at load that
+    busy-waits for ~0.1 s of CPU each. OpenBLAS reads the variable once,
+    at load.
+    """
+
+    def find_spec(self, name, path=None, target=None):
+        if name != "numpy":
+            return None
+        sys.meta_path.remove(self)  # one shot; the finders after this one find numpy
+        spec = next(filter(None, (f.find_spec(name, path, target) for f in sys.meta_path)), None)
+        if spec and "OPENBLAS_NUM_THREADS" not in os.environ:
+            self.loader, spec.loader = spec.loader, self  # numpy's loader runs in exec_module
+        return spec
+
+    def create_module(self, spec):
+        return self.loader.create_module(spec)
+
+    def exec_module(self, module):
+        module.__loader__ = module.__spec__.loader = self.loader
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            self.loader.exec_module(module)
+        finally:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+
+
+if "numpy" not in sys.modules:
+    sys.meta_path.insert(0, _OneOpenBLASThread())

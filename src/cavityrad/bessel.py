@@ -25,11 +25,11 @@ from __future__ import annotations
 
 import math
 
-from .errors import BesselZeroError, ResourceLimitError
-from .geometry import _Record, _load_numpy
-from .validate import finite_array, finite_real, nonnegative_int
+import numpy as np
 
-np = _load_numpy()
+from .errors import BesselZeroError, ResourceLimitError
+from .geometry import _Record
+from .validate import finite_array, finite_real, nonnegative_int
 
 __all__ = ["spherical_jl", "spherical_bessel_zeros", "build_bessel_zero_table",
            "BesselZeroTable", "MAX_BESSEL_ZEROS", "MAX_RECURRENCE_STEPS"]

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .errors import ConvolutionExactnessError
 from .geometry import (BLOCK, BoundaryCondition, _Record, _bin_layout, _cube_unit, _kept_table,
-                       _load_numpy, _norm_bound, axis_wavenumbers, disc_sums, fold_signs,
-                       quantization)
+                       _norm_bound, axis_wavenumbers, disc_sums, fold_signs, quantization)
 from .planck import _T_MESSAGE, mean_oscillator_energy
 from .validate import finite_density, finite_real, instance_of
-
-np = _load_numpy()
 
 __all__ = ["BinnedSpectrum", "binned_density", "cube_binned_density"]
 
@@ -49,14 +48,12 @@ def _bin_into(energy_sums, omegas, multiplicities, T, delta_omega):
     np.add.at(energy_sums, idx, multiplicities * mean_oscillator_energy(omegas, T))
 
 
-def _spectrum(energy_sums, delta_omega, volume, layout):
-    n_bins, partial = layout
-    delta_omega, volume = float(delta_omega), float(volume)  # no float32 product
+def _spectrum(energy_sums, delta_omega, volume, partial):
     with np.errstate(over="ignore"):  # refused by finite_density
         u = finite_density(energy_sums / (volume * delta_omega))
     return BinnedSpectrum(
         delta_omega=delta_omega,
-        omega_left=np.arange(n_bins) * delta_omega,
+        omega_left=np.arange(energy_sums.size) * delta_omega,
         u=u,
         volume=volume,
         last_bin_partial=partial,
@@ -69,10 +66,10 @@ def binned_density(modes, T, delta_omega, volume):
     A density beyond the float range raises ValueError."""
     from .modes import ModeList  # not at module level: a cube spectrum loads no modes
     instance_of(modes, ModeList, "modes")
-    layout = _bin_layout(modes.omega_max, delta_omega, volume)
-    energy_sums = np.zeros(layout[0])
+    n_bins, partial, delta_omega, volume = _bin_layout(modes.omega_max, delta_omega, volume)
+    energy_sums = np.zeros(n_bins)
     _bin_into(energy_sums, modes.omegas, modes.multiplicities, T, delta_omega)
-    return _spectrum(energy_sums, delta_omega, volume, layout)
+    return _spectrum(energy_sums, delta_omega, volume, partial)
 
 
 def _fast_len(n):
@@ -253,10 +250,10 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
     unit = _cube_unit(side, bc)
     m_max = _norm_bound(omega_max, unit)
     volume = side * side * side  # BoxGeometry.volume; inf past ~1e102, refused by the norm cap
-    layout = _bin_layout(omega_max, delta_omega, volume)
+    n_bins, partial, delta_omega, volume = _bin_layout(omega_max, delta_omega, volume)
     r3 = _kept_table("cube", (bc, m_max), m_max, lambda m: _cube_counts(bc, m))
     # binned a block of norms at a time, in norm order
-    energy_sums = np.zeros(layout[0])
+    energy_sums = np.zeros(n_bins)
     for lo in range(1, m_max + 1, BLOCK):  # periodic zero mode excluded
         block = r3[lo:lo + BLOCK]
         m = np.flatnonzero(block)
@@ -264,5 +261,5 @@ def cube_binned_density(side, bc: BoundaryCondition, T, delta_omega, omega_max):
         keep = om <= omega_max
         # 2 polarizations, doubled in int64 so a narrow count cannot overflow
         _bin_into(energy_sums, om[keep], 2 * block[m[keep]].astype(np.int64), T, delta_omega)
-    return _spectrum(energy_sums, delta_omega, volume, layout)
+    return _spectrum(energy_sums, delta_omega, volume, partial)
 

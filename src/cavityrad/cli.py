@@ -19,12 +19,12 @@ import argparse
 import sys
 from types import SimpleNamespace
 
-# the compute modules, and numpy with them, are imported by the functions that use
-# them, once a request is accepted: a refusal costs argparse and arithmetic only
+# numpy and the compute modules are imported by the functions that use them,
+# once a request is accepted: a refusal costs argparse and arithmetic only
 from .errors import NumericalCheckError, ResourceLimitError
 from .geometry import (BoundaryCondition, BoxGeometry, FilmGeometry, RodGeometry,
-                       SphereGeometry, _bin_layout, _box_bounds, _cube_unit, _load_numpy,
-                       _norm_bound, _sphere_x_max, descriptors_for)
+                       SphereGeometry, _bin_layout, _box_bounds, _cube_unit, _norm_bound,
+                       _sphere_x_max, descriptors_for)
 from .io import modes_csv_lines, spectrum_csv_lines, write_csv
 from .validate import finite_real
 
@@ -118,9 +118,8 @@ def _build_config(pairs):
         raise UsageError("--samples must be >= 2")
     cfg.delta_omega = finite_real(cfg.delta_omega, "--delta-omega must be > 0")
     cfg.compare = tuple(p for p in cfg.compare.split(",") if p)
-    for c in cfg.compare:
-        if c not in ("planck", "weyl"):
-            raise UsageError("--compare entries must be planck or weyl")
+    if not set(cfg.compare) <= {"planck", "weyl"}:
+        raise UsageError("--compare entries must be planck or weyl")
     cfg.sampled = cfg.geometry in _SAMPLED
     if "weyl" in cfg.compare and cfg.sampled:
         raise UsageError("weyl comparison needs a closed cavity (box or sphere)")
@@ -152,11 +151,10 @@ def _mode_list(cfg):
     """The ModeList of a box or sphere run; its cap is decided before numpy loads."""
     if cfg.geometry == "sphere":
         _sphere_x_max(cfg.geom, cfg.omega_max)
-    else:
-        _box_bounds(cfg.geom, cfg.bc, cfg.omega_max)
-    from .modes import enumerate_box_modes, enumerate_sphere_modes
-    if cfg.geometry == "sphere":
+        from .modes import enumerate_sphere_modes
         return enumerate_sphere_modes(cfg.geom, cfg.omega_max)
+    _box_bounds(cfg.geom, cfg.bc, cfg.omega_max)
+    from .modes import enumerate_box_modes
     return enumerate_box_modes(cfg.geom, cfg.bc, cfg.omega_max)
 
 
@@ -178,7 +176,7 @@ def compute(cfg):
     if cfg.sampled and cfg.samples > MAX_SAMPLES:
         raise ResourceLimitError(cfg.samples, MAX_SAMPLES, "grid samples")
     if cfg.sampled:
-        np = _load_numpy()
+        import numpy as np
         from .slab_rod import THRESHOLD_GUARD, _rod_sums, _rod_values, film_density
         omega = grid = np.linspace(cfg.omega_min, cfg.omega_max, cfg.samples)
         if cfg.geometry == "film":
@@ -286,8 +284,7 @@ def run_figures(ns):
     if ns.figure not in (1, 2, 3, 4):
         raise UsageError("figure id must be 1, 2, 3 or 4")
     from .figures import generate_figure
-    written = generate_figure(ns.figure, ns.output_dir)
-    for path in written:
+    for path in generate_figure(ns.figure, ns.output_dir):
         print(path, file=sys.stderr)
     return 0
 
@@ -333,19 +330,18 @@ def build_parser():
     return parser
 
 
+# exit status of each refused kind of request; any other exception is a traceback
+_EXIT_STATUS = {UsageError: 2, ValueError: 2, OSError: 2, ResourceLimitError: 3,
+                NumericalCheckError: 4}
+
+
 def main(argv=None):
     ns = build_parser().parse_args(argv)
     try:
         return ns.fn(ns)
-    except (UsageError, ValueError, OSError) as exc:
+    except tuple(_EXIT_STATUS) as exc:
         print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except ResourceLimitError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 3
-    except NumericalCheckError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 4
+        return next(code for cls, code in _EXIT_STATUS.items() if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

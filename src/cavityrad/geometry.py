@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import math
-import os
-import sys
 from enum import Enum
 
 # no module-level numpy: the CLI checks a request on these classes and caps before
-# it loads numpy, so the functions that need numpy load it themselves
+# it loads numpy, so the functions that need numpy import it themselves
 from .constants import C_LIGHT
 from .errors import ResourceLimitError
 from .validate import finite_real, instance_of
@@ -29,23 +27,6 @@ __all__ = [
     "GeometryDescriptors",
     "descriptors_for",
 ]
-
-
-def _load_numpy():
-    """numpy; if it is not loaded yet and OPENBLAS_NUM_THREADS is unset, it is
-    loaded with one OpenBLAS thread and the environment is left as it was.
-
-    cavityrad makes no BLAS call, but numpy's OpenBLAS starts a worker thread
-    at load that busy-waits for ~0.1 s of CPU. OpenBLAS reads the variable
-    once, at load. Every cavityrad module that uses numpy takes it from here."""
-    if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-        try:
-            import numpy  # noqa: F401
-        finally:
-            del os.environ["OPENBLAS_NUM_THREADS"]
-    import numpy
-    return numpy
 
 
 class BoundaryCondition(Enum):
@@ -114,8 +95,8 @@ def _lattice_bounds(lengths, bc, k_cap, cap, what):
     edges = [k_cap * L / period + offset for L in lengths]
     bounds = [(math.ceil(e) if math.isfinite(e) else e) + 1.0 for e in edges]
     required = math.prod(label_count(m, bc) for m in bounds)
-    if not required <= cap:
-        raise ResourceLimitError(required, cap, what)
+    if not required <= cap:  # an int count, so it can be passed back as a cap
+        raise ResourceLimitError(int(required) if math.isfinite(required) else required, cap, what)
     return bounds
 
 
@@ -166,7 +147,8 @@ def _norm_bound(omega_max, unit):
 
 
 def _bin_layout(omega_max, delta_omega, volume):
-    """Checked bin count and partial flag, before any mode or bin array exists."""
+    """Checked bin count, partial flag, and delta_omega and volume as floats,
+    before any mode or bin array exists."""
     message = ("delta_omega and volume must be > 0, got delta_omega=%r, volume=%r"
                % (delta_omega, volume))
     delta_omega, volume = finite_real(delta_omega, message), finite_real(volume, message)
@@ -179,13 +161,13 @@ def _bin_layout(omega_max, delta_omega, volume):
                          "delta_omega=%r, volume=%r" % (delta_omega, volume))
     q_round = round(q)
     if q_round >= 1 and abs(q - q_round) <= 1e-9 * q:
-        return int(q_round), False
-    return int(math.ceil(q)), True  # last bin padded past omega_max
+        return int(q_round), False, delta_omega, volume
+    return int(math.ceil(q)), True, delta_omega, volume  # last bin padded past omega_max
 
 
 def axis_wavenumbers(L, bc, m):
     """Wavenumbers and their integer labels n on one axis with label bound m."""
-    np = _load_numpy()
+    import numpy as np
     period, offset, two_sided = quantization(bc)
     m = int(m)
     n = np.arange(label_count(m, bc)) + (-m if two_sided else 1)  # from the first label
@@ -200,7 +182,7 @@ def fold_signs(axes):
     folded axes weighted by the count products is the signed scan's multiset.
     Axes with no negative value (Dirichlet) come back unchanged, with None.
     """
-    np = _load_numpy()
+    import numpy as np
     if not any((a < 0).any() for a in axes):
         return axes, None
     folded = [np.unique(np.abs(a), return_counts=True) for a in axes]
@@ -217,7 +199,7 @@ def disc_sums(axes, cap, weights=None):
     With one weight array per axis, the products of the weights go through
     the same cuts and (sums, weights) is returned.
     """
-    np = _load_numpy()
+    import numpy as np
 
     def cut(s, w):
         keep = s <= cap

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .geometry import (BLOCK, CUT_MARGIN, DEFAULT_LATTICE_CAP, BoundaryCondition, BoxGeometry,
-                       SphereGeometry, _Record, _box_bounds, _load_numpy, _sphere_x_max,
-                       axis_wavenumbers, disc_sums, fold_signs)
+                       SphereGeometry, _Record, _box_bounds, _sphere_x_max, axis_wavenumbers,
+                       disc_sums, fold_signs)
 from .planck import mean_oscillator_energy
 from .validate import finite_real, instance_of, nonnegative_int
-
-np = _load_numpy()
 
 __all__ = ["ModeList", "enumerate_box_modes", "enumerate_sphere_modes", "MERGE_RTOL"]
 

@@ -11,12 +11,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .errors import QuadratureError
-from .geometry import BoundaryCondition, BoxGeometry, _load_numpy
+from .geometry import BoundaryCondition, BoxGeometry
 from .modes import MERGE_RTOL, ModeList
-
-np = _load_numpy()
 
 __all__ = ["OracleReport", "naive_box_count", "quadrature_total_energy"]
 

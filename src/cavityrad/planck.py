@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 
-from .constants import C_LIGHT, HBAR, K_B
-from .geometry import GeometryDescriptors, _load_numpy
-from .validate import finite_array, finite_density, finite_real, instance_of
+import numpy as np
 
-np = _load_numpy()
+from .constants import C_LIGHT, HBAR, K_B
+from .geometry import GeometryDescriptors
+from .validate import finite_array, finite_density, finite_real, instance_of
 
 __all__ = [
     "mean_oscillator_energy",

@@ -17,15 +17,14 @@ import bisect
 import functools
 import math
 
+import numpy as np
+
 from .constants import C_LIGHT
 from .errors import ResourceLimitError, ThresholdSingularityError
 from .geometry import (BLOCK, CUT_MARGIN, BoundaryCondition, FilmGeometry, RodGeometry,
-                       _kept_table, _load_numpy, disc_sums, label_count, lattice_axes,
-                       quantization)
+                       _kept_table, disc_sums, label_count, lattice_axes, quantization)
 from .planck import mean_oscillator_energy
 from .validate import finite_array, finite_density, finite_real, instance_of
-
-np = _load_numpy()
 
 __all__ = [
     "film_mode_count",

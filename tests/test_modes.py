@@ -168,7 +168,7 @@ def test_lattice_cap_counts_the_signed_bounding_box(bc):
     k_max = omega_max / C_LIGHT
     with pytest.raises(ResourceLimitError) as signed:
         lattice_axes((geom.L1, geom.L2, geom.L3), bc, k_max, 1, "lattice points")
-    required = int(signed.value.required)  # a whole float; the cap is an integer
+    required = signed.value.required
     with pytest.raises(ResourceLimitError, match="lattice points") as err:
         enumerate_box_modes(geom, bc, omega_max, max_lattice_points=required - 1)
     assert err.value.required == required
